@@ -38,10 +38,12 @@ lint-obs:
 # end-to-end smoke, the router-tier smoke, the loadgen SLO gate, the
 # router chaos gate (kill a replica mid-load, tier must re-converge),
 # the kill-and-resume checkpoint smoke, the analytic-engine acceptance
-# gate, and the allocation budget of the dictionary build loop
+# gate, the allocation budget of the dictionary build loop
 # (steady-state allocs must be independent of the Monte-Carlo sample
-# count).
+# count), and a vet of the nested perfbench module, which `go test ./...`
+# does not build, so an API it calls cannot be deleted unnoticed.
 ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly $(GO) vet .
 	$(GO) test -race ./...
 	$(GO) test ./internal/core -run '^TestBuildDictionaryAllocBudget$$' -count=1
 

@@ -38,14 +38,28 @@ func benchCoreModel(b *testing.B) *timing.Model {
 	return timing.NewModel(c, timing.DefaultParams())
 }
 
+// benchCoreClock is the suite's fixed cut-off period: the 0.95 quantile
+// of 200 Monte-Carlo circuit-delay samples.
+func benchCoreClock(b *testing.B, m *timing.Model) float64 {
+	b.Helper()
+	clk, err := m.SuggestClockCtx(context.Background(), 0.95, 200, 7, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return clk
+}
+
 // BenchmarkCoreMonteCarloSTA tracks the statistical STA sampling loop:
 // 1000 instances of an s9234-class circuit per op.
 func BenchmarkCoreMonteCarloSTA(b *testing.B) {
 	m := benchCoreModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloSTA(1000, 7, 1)
+		if _, err := m.MonteCarloSTACtx(ctx, 1000, 7, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -56,8 +70,11 @@ func BenchmarkCoreMonteCarloCriticality(b *testing.B) {
 	m := benchCoreModel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloCriticality(500, 7, 1)
+		if _, err := m.MonteCarloCriticalityCtx(ctx, 500, 7, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(500*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -75,8 +92,11 @@ func BenchmarkCoreTimingLength(b *testing.B) {
 	arcs := paths[0].Arcs
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.TimingLength(arcs, 2000, 13)
+		if _, err := m.TimingLengthCtx(ctx, arcs, 2000, 13, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(2000*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 }
@@ -106,7 +126,7 @@ func benchDictSetup(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcI
 	}
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := core.DictConfig{
-		Clk:         m.SuggestClock(0.95, 200, 7),
+		Clk:         benchCoreClock(b, m),
 		Samples:     1000,
 		Seed:        17,
 		Workers:     1,
@@ -191,7 +211,7 @@ func benchDiagSetup(b *testing.B) (m *timing.Model, pats []logicsim.PatternPair,
 		pats[i] = logicsim.PatternPair{V1: v1, V2: v2}
 	}
 	delays = m.SampleInstance(r).Delays
-	clk = m.SuggestClock(0.95, 200, 7)
+	clk = benchCoreClock(b, m)
 	cell := m.MeanCellDelay()
 	for i := 0; i < 10; i++ {
 		sites = append(sites, ArcID((len(c.Arcs)/2+i*499)%len(c.Arcs)))

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
+	"repro/internal/timing/engine"
 	"repro/internal/tsim"
 )
 
@@ -128,8 +130,12 @@ func setupCase(b *testing.B) (*timing.Model, []logicsim.PatternPair, []ArcID, *c
 	clk := 0.0
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := m.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := m.TimingLengthCtx(context.Background(), tc.Path.Arcs, 200, 13, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if q := tl.Quantile(0.9); q > clk {
+			clk = q
 		}
 	}
 	inst := m.SampleInstanceSeeded(2, 0)
@@ -186,30 +192,31 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationClarkVsMC: analytic Clark STA vs Monte-Carlo STA on
-// the same model (speed and the mean-estimate gap).
+// BenchmarkAblationClarkVsMC: the analytic engine's Clark STA vs
+// Monte-Carlo STA on the same model (speed and the mean-estimate gap).
 func BenchmarkAblationClarkVsMC(b *testing.B) {
 	c, err := synth.GenerateNamed("medium", 2003)
 	if err != nil {
 		b.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	b.Run("clark", func(b *testing.B) {
-		var mu float64
-		for i := 0; i < b.N; i++ {
-			_, d := m.ClarkSTA()
-			mu = d.Mu
-		}
-		b.ReportMetric(mu, "mean_delay")
-	})
-	b.Run("mc1000", func(b *testing.B) {
-		var mu float64
-		for i := 0; i < b.N; i++ {
-			res := m.MonteCarloSTA(1000, 7, 0)
-			mu = res.CircuitDelay.Mean()
-		}
-		b.ReportMetric(mu, "mean_delay")
-	})
+	ctx := context.Background()
+	for _, eng := range []struct {
+		name string
+		e    timing.Engine
+	}{{"clark", engine.NewAnalytic(m)}, {"mc1000", engine.NewMC(m)}} {
+		b.Run(eng.name, func(b *testing.B) {
+			var mu float64
+			for i := 0; i < b.N; i++ {
+				res, err := eng.e.STA(ctx, 1000, 7, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				mu = res.CircuitDelay.Mean()
+			}
+			b.ReportMetric(mu, "mean_delay")
+		})
+	}
 }
 
 // BenchmarkAblationRobust: pattern generation cost for robust-only vs
@@ -235,34 +242,6 @@ func BenchmarkAblationRobust(b *testing.B) {
 			b.ReportMetric(float64(yield), "patterns")
 		})
 	}
-}
-
-// BenchmarkAblationTimedFill: cost of the timing-guided fill
-// optimization (Section G's GA-ATPG idea) and the arrival-time gain it
-// buys on the targeted output.
-func BenchmarkAblationTimedFill(b *testing.B) {
-	c, err := synth.GenerateNamed("small", 2003)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := timing.NewModel(c, timing.DefaultParams())
-	inst := m.NominalInstance()
-	site := ArcID(len(c.Arcs) / 2)
-	tests := atpg.DiagnosticPatterns(c, m.Nominal, site, 4, rng.New(3))
-	if len(tests) == 0 {
-		b.Skip("no tests for this site")
-	}
-	tc := tests[0]
-	outGate := c.Arcs[tc.Path.Arcs[len(tc.Path.Arcs)-1]].To
-	outIdx := c.OutputIndex(outGate)
-	eng := tsim.NewEngine(c)
-	before := eng.Run(inst.Delays, tc.Pair, tsim.Quiescent()).LastChange[outIdx]
-	var after float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, after = atpg.OptimizeFill(c, inst.Delays, tc.Path, tc.Pair, tc.Robust, 60, rng.New(uint64(i)))
-	}
-	b.ReportMetric((after-before)/before*100, "arrival_gain_%")
 }
 
 // --- Microbenchmarks of the substrates -------------------------------------
@@ -301,8 +280,11 @@ func BenchmarkMonteCarloSTA(b *testing.B) {
 	m := timing.NewModel(c, timing.DefaultParams())
 	b.ReportAllocs()
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloSTA(100, uint64(i), 0)
+		if _, err := m.MonteCarloSTACtx(ctx, 100, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -342,8 +324,11 @@ func BenchmarkCriticality(b *testing.B) {
 	c, _ := synth.GenerateNamed("medium", 2003)
 	m := timing.NewModel(c, timing.DefaultParams())
 	b.ResetTimer()
+	ctx := context.Background()
 	for i := 0; i < b.N; i++ {
-		m.MonteCarloCriticality(200, uint64(i), 0)
+		if _, err := m.MonteCarloCriticalityCtx(ctx, 200, uint64(i), 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

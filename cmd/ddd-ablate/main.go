@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -270,8 +271,12 @@ func compressExp(circuitName string) error {
 	clk := 0.0
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := m.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := m.TimingLengthCtx(context.Background(), tc.Path.Arcs, 200, 13, 0)
+		if err != nil {
+			return err
+		}
+		if q := tl.Quantile(0.9); q > clk {
+			clk = q
 		}
 	}
 	inst := m.SampleInstanceSeeded(2, 0)

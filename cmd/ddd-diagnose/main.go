@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -86,9 +87,12 @@ func run(profile string, circuitSeed, caseSeed uint64, arcFlag int, sizeFlag flo
 			crit = "robust"
 		}
 		fmt.Printf("  v%-2d %-10s target path len=%d nominal=%.3f\n", i, crit, len(tc.Path.Arcs), tc.Path.Nominal)
-		tl := m.TimingLength(tc.Path.Arcs, 300, rng.Derive(caseSeed, 2)).Quantile(quantile)
-		if tl > clk {
-			clk = tl
+		tl, err := m.TimingLengthCtx(context.Background(), tc.Path.Arcs, 300, rng.Derive(caseSeed, 2), 0)
+		if err != nil {
+			return err
+		}
+		if q := tl.Quantile(quantile); q > clk {
+			clk = q
 		}
 	}
 	stop(int64(len(tests)))

@@ -69,9 +69,13 @@ func main() {
 	}
 	fmt.Printf("\ncritical probability P(Δ > %.3f) = %.4f\n", cutoff, res.CriticalProb(cutoff))
 
-	_, clark := m.ClarkSTA()
-	fmt.Printf("Clark approximation: mean=%.3f σ=%.3f (MC mean=%.3f σ=%.3f)\n\n",
-		clark.Mu, clark.Sigma, cd.Mean(), cd.Std())
+	clark, err := tengine.NewAnalytic(m).STA(ctx, *samples, *mcSeed, *workers)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ddd-sta:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("Clark approximation: mean=%.3f σ=%.3f (%s mean=%.3f σ=%.3f)\n\n",
+		clark.CircuitDelay.Mean(), clark.CircuitDelay.Std(), eng.Name(), cd.Mean(), cd.Std())
 
 	type row struct {
 		name string

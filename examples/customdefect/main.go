@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,8 +44,12 @@ func main() {
 	clk := 0.0
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 300, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := model.TimingLengthCtx(context.Background(), tc.Path.Arcs, 300, 13, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if q := tl.Quantile(0.9); q > clk {
+			clk = q
 		}
 	}
 	fmt.Printf("site arc %d, %d patterns, clk %.3f\n\n", truth.Arc, len(pats), clk)

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,10 @@ func main() {
 	}
 	fmt.Printf("\ndiagnostic tests through the site (with TL quantiles):\n")
 	for i, tc := range tests {
-		tl := model.TimingLength(tc.Path.Arcs, 500, 23)
+		tl, err := model.TimingLengthCtx(context.Background(), tc.Path.Arcs, 500, 23, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		crit := "non-robust"
 		if tc.Robust {
 			crit = "robust"

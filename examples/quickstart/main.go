@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,8 +40,12 @@ func main() {
 	clk := 0.0
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := model.TimingLengthCtx(context.Background(), tc.Path.Arcs, 200, 13, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if q := tl.Quantile(0.9); q > clk {
+			clk = q
 		}
 	}
 	fmt.Printf("%d diagnostic patterns, clk = %.3f\n", len(pats), clk)

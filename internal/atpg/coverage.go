@@ -25,18 +25,6 @@ type CoverageResult struct {
 	Detects []int
 }
 
-// NDetect returns the number of covered arcs with at least n detecting
-// patterns.
-func (r *CoverageResult) NDetect(n int) int {
-	c := 0
-	for _, d := range r.Detects {
-		if d >= n {
-			c++
-		}
-	}
-	return c
-}
-
 // Fraction returns covered/total.
 func (r *CoverageResult) Fraction() float64 {
 	if r.TotalArcs == 0 {
@@ -54,8 +42,8 @@ func (r *CoverageResult) Fraction() float64 {
 // evaluated with the allocation-free EvalWordsInto kernel, and
 // sensitization masks are accumulated per arc with
 // SensitizedArcsWordsInto — one simulation sweep covers 64 patterns.
-// The scalar walk survives as arcCoverageScalar, the bit-exact oracle
-// the equivalence tests pin this kernel against.
+// The tests pin this kernel bit for bit against arcCoverageScalar, the
+// one-pattern-at-a-time walk.
 func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
 	res := newCoverageResult(c)
 	nGates := len(c.Gates)
@@ -83,8 +71,8 @@ func ArcCoverage(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResul
 		// Unpack lanes in pattern order so PerPattern reproduces the
 		// scalar cumulative curve exactly. Unused tail lanes pack
 		// all-zero vectors on both sides, so their mask bits are zero by
-		// construction (see PackVectors' ragged-tail contract); the loop
-		// bound masks them regardless.
+		// construction (see PackPatternPairs' ragged-tail contract);
+		// the loop bound masks them regardless.
 		for b := range block {
 			for aid, w := range arcMasks {
 				if w>>uint(b)&1 == 0 || c.Gates[c.Arcs[aid].To].Type == circuit.Output {
@@ -111,39 +99,6 @@ func newCoverageResult(c *circuit.Circuit) *CoverageResult {
 		if c.Gates[c.Arcs[i].To].Type != circuit.Output {
 			res.TotalArcs++
 		}
-	}
-	return res
-}
-
-// arcCoverageScalar is the one-pattern-at-a-time reference
-// implementation: the oracle the word-parallel ArcCoverage is tested
-// against, kept verbatim from the pre-kernel code.
-func arcCoverageScalar(c *circuit.Circuit, pats []logicsim.PatternPair) *CoverageResult {
-	res := newCoverageResult(c)
-	perPattern := c.NewArcSet()
-	for _, p := range pats {
-		tr := logicsim.SimulatePair(c, p)
-		for i := range perPattern {
-			perPattern[i] = false
-		}
-		for oi := range c.Outputs {
-			for _, aid := range logicsim.SensitizedArcs(c, tr, oi).IDs() {
-				if c.Gates[c.Arcs[aid].To].Type == circuit.Output {
-					continue
-				}
-				perPattern[aid] = true
-				if !res.CoveredSet[aid] {
-					res.CoveredSet[aid] = true
-					res.Covered++
-				}
-			}
-		}
-		for aid, hit := range perPattern {
-			if hit {
-				res.Detects[aid]++
-			}
-		}
-		res.PerPattern = append(res.PerPattern, res.Covered)
 	}
 	return res
 }

@@ -236,9 +236,6 @@ func (c *Circuit) GateByName(name string) (*Gate, bool) {
 // NumGates returns the number of gates (including port gates).
 func (c *Circuit) NumGates() int { return len(c.Gates) }
 
-// NumArcs returns the number of pin-to-pin arcs, |E|.
-func (c *Circuit) NumArcs() int { return len(c.Arcs) }
-
 // OutputIndex returns the position of gate id within c.Outputs, or -1.
 func (c *Circuit) OutputIndex(id GateID) int {
 	for i, o := range c.Outputs {

@@ -231,20 +231,6 @@ func TestCones(t *testing.T) {
 	}
 }
 
-func TestOutputsReachedFrom(t *testing.T) {
-	c := buildC17(t)
-	n10, _ := c.GateByName("n10")
-	outs := c.OutputsReachedFrom(n10.ID)
-	if len(outs) != 1 || outs[0] != 0 {
-		t.Errorf("n10 reaches outputs %v, want [0]", outs)
-	}
-	n11, _ := c.GateByName("n11")
-	outs = c.OutputsReachedFrom(n11.ID)
-	if len(outs) != 2 {
-		t.Errorf("n11 reaches outputs %v, want both", outs)
-	}
-}
-
 func TestArcFanoutGates(t *testing.T) {
 	c := buildC17(t)
 	n19, _ := c.GateByName("n19")
@@ -253,33 +239,6 @@ func TestArcFanoutGates(t *testing.T) {
 	// n19, o23, o23$out
 	if fo.Count() != 3 {
 		t.Errorf("arc fanout count = %d, want 3", fo.Count())
-	}
-}
-
-func TestConeArcsAndOrderedSubset(t *testing.T) {
-	c := buildC17(t)
-	n16, _ := c.GateByName("n16")
-	cone := c.FaninCone(n16.ID)
-	arcs := c.ConeArcs(cone)
-	// Arcs fully inside {i2,i3,i4,n11,n16}: i3->n11, i4->n11, i2->n16, n11->n16.
-	if arcs.Count() != 4 {
-		t.Errorf("cone arcs = %d, want 4", arcs.Count())
-	}
-	sub := c.OrderedSubset(cone)
-	if len(sub) != cone.Count() {
-		t.Fatalf("subset size mismatch")
-	}
-	seen := c.NewGateSet()
-	for _, g := range sub {
-		for _, fi := range c.Gates[g].Fanin {
-			if cone.Has(fi) && !seen.Has(fi) {
-				t.Fatalf("subset order violation at %s", c.Gates[g].Name)
-			}
-		}
-		seen.Add(g)
-	}
-	if len(arcs.IDs()) != 4 {
-		t.Errorf("IDs() length mismatch")
 	}
 }
 

@@ -97,39 +97,3 @@ func (c *Circuit) FanoutCone(roots ...GateID) GateSet {
 func (c *Circuit) ArcFanoutGates(a ArcID) GateSet {
 	return c.FanoutCone(c.Arcs[a].To)
 }
-
-// ConeArcs returns the arcs both of whose endpoints lie in the gate set.
-func (c *Circuit) ConeArcs(gates GateSet) ArcSet {
-	arcs := c.NewArcSet()
-	for i := range c.Arcs {
-		a := &c.Arcs[i]
-		if gates.Has(a.From) && gates.Has(a.To) {
-			arcs.Add(a.ID)
-		}
-	}
-	return arcs
-}
-
-// OutputsReachedFrom returns the indices (into c.Outputs) of outputs in
-// the transitive fan-out of gate g.
-func (c *Circuit) OutputsReachedFrom(g GateID) []int {
-	cone := c.FanoutCone(g)
-	var out []int
-	for i, o := range c.Outputs {
-		if cone.Has(o) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// OrderedSubset returns the gates of set in topological order.
-func (c *Circuit) OrderedSubset(set GateSet) []GateID {
-	var out []GateID
-	for _, g := range c.Order {
-		if set.Has(g) {
-			out = append(out, g)
-		}
-	}
-	return out
-}

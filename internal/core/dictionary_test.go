@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,6 +26,17 @@ type testBench struct {
 	pats []logicsim.PatternPair
 }
 
+// suggestClock returns the q-quantile clock of m's Monte-Carlo circuit
+// delay, failing the test on error.
+func suggestClock(t testing.TB, m *timing.Model, q float64, nSamples int, seed uint64) float64 {
+	t.Helper()
+	clk, err := m.SuggestClockCtx(context.Background(), q, nSamples, seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return clk
+}
+
 func newBench(t *testing.T, circuitName string, seed uint64) *testBench {
 	t.Helper()
 	c, err := synth.GenerateNamed(circuitName, seed)
@@ -33,7 +45,7 @@ func newBench(t *testing.T, circuitName string, seed uint64) *testBench {
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
-	clk := m.SuggestClock(0.9, 600, seed)
+	clk := suggestClock(t, m, 0.9, 600, seed)
 	r := rng.New(rng.Derive(seed, 1))
 	// Pick a site that has diagnostic patterns.
 	var site circuit.ArcID = -1

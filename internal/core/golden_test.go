@@ -52,7 +52,7 @@ func goldenDictSetup(t *testing.T) (*timing.Model, []logicsim.PatternPair, []cir
 	}
 	inj := defect.NewInjector(c, m.MeanCellDelay(), defect.DefaultParams())
 	cfg := DictConfig{
-		Clk: m.SuggestClock(0.95, 200, 7), Samples: 64, Seed: 17,
+		Clk: suggestClock(t, m, 0.95, 200, 7), Samples: 64, Seed: 17,
 		Workers: 3, Incremental: true, SizeDist: inj.AssumedSizeDist(),
 	}
 	return m, pats, suspects, cfg

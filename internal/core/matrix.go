@@ -67,21 +67,6 @@ func (m *Matrix) Scale(f float64) *Matrix {
 	return m
 }
 
-// MaxAbsDiff returns the largest element-wise |m − o|.
-func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
-	d := 0.0
-	for i := range m.Data {
-		v := m.Data[i] - o.Data[i]
-		if v < 0 {
-			v = -v
-		}
-		if v > d {
-			d = v
-		}
-	}
-	return d
-}
-
 func (m *Matrix) String() string {
 	var sb strings.Builder
 	for i := 0; i < m.Rows; i++ {

@@ -79,3 +79,18 @@ func TestMatrixString(t *testing.T) {
 		t.Errorf("empty string")
 	}
 }
+
+// MaxAbsDiff returns the largest element-wise |m − o|.
+func (m *Matrix) MaxAbsDiff(o *Matrix) float64 {
+	d := 0.0
+	for i := range m.Data {
+		v := m.Data[i] - o.Data[i]
+		if v < 0 {
+			v = -v
+		}
+		if v > d {
+			d = v
+		}
+	}
+	return d
+}

@@ -1,6 +1,6 @@
 // Package dist provides the probability-distribution substrate for the
 // statistical timing model: parametric random variables (normal,
-// truncated normal, uniform, point mass), empirical distributions built
+// truncated normal, uniform), empirical distributions built
 // from Monte-Carlo samples, and the analytic sum/max operators (Clark's
 // approximation) used by the fast statistical static timing mode.
 //
@@ -27,13 +27,6 @@ type Dist interface {
 	Variance() float64
 }
 
-// Tail optionally reports exceedance probabilities analytically.
-// Distributions that cannot do so are estimated by Monte Carlo instead.
-type Tail interface {
-	// Exceed returns P(X > x).
-	Exceed(x float64) float64
-}
-
 // Distribution is the read-only summary surface the diagnosis core
 // consumes from a timing engine: location, spread, quantiles and
 // exceedance (critical) probabilities. *Empirical (Monte-Carlo
@@ -50,29 +43,6 @@ type Distribution interface {
 	// Exceed returns P(X > x).
 	Exceed(x float64) float64
 }
-
-// PointMass is the degenerate distribution concentrated at V. Circuit
-// instances (Definition D.2) assign a PointMass to every arc.
-type PointMass struct{ V float64 }
-
-// Sample returns the mass point.
-func (p PointMass) Sample(*rand.Rand) float64 { return p.V }
-
-// Mean returns the mass point.
-func (p PointMass) Mean() float64 { return p.V }
-
-// Variance returns 0.
-func (p PointMass) Variance() float64 { return 0 }
-
-// Exceed returns 1 if the mass point exceeds x, else 0.
-func (p PointMass) Exceed(x float64) float64 {
-	if p.V > x {
-		return 1
-	}
-	return 0
-}
-
-func (p PointMass) String() string { return fmt.Sprintf("δ(%g)", p.V) }
 
 // Normal is the Gaussian distribution N(Mu, Sigma²).
 type Normal struct {
@@ -105,7 +75,7 @@ func (n Normal) Exceed(x float64) float64 {
 
 // Quantile returns the q-quantile via the probit function. q <= 0 and
 // q >= 1 clamp to ∓Inf only for Sigma > 0; a degenerate normal
-// (Sigma == 0) returns Mu for every q, matching PointMass semantics.
+// (Sigma == 0) returns Mu for every q, as a point mass would.
 func (n Normal) Quantile(q float64) float64 {
 	if n.Sigma == 0 {
 		return n.Mu
@@ -194,27 +164,3 @@ func (u Uniform) Exceed(x float64) float64 {
 }
 
 func (u Uniform) String() string { return fmt.Sprintf("U[%g, %g]", u.Lo, u.Hi) }
-
-// Shifted is d translated by Offset. It models a delay-defect-affected
-// arc: the model delay plus a (sampled) defect size.
-type Shifted struct {
-	D      Dist
-	Offset float64
-}
-
-// Sample draws from D and adds Offset.
-func (s Shifted) Sample(r *rand.Rand) float64 { return s.D.Sample(r) + s.Offset }
-
-// Mean returns D's mean plus Offset.
-func (s Shifted) Mean() float64 { return s.D.Mean() + s.Offset }
-
-// Variance returns D's variance.
-func (s Shifted) Variance() float64 { return s.D.Variance() }
-
-// Exceed returns P(D+Offset > x) if D supports Tail.
-func (s Shifted) Exceed(x float64) float64 {
-	if t, ok := s.D.(Tail); ok {
-		return t.Exceed(x - s.Offset)
-	}
-	return math.NaN()
-}

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -10,20 +9,6 @@ import (
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestPointMass(t *testing.T) {
-	p := PointMass{V: 3.5}
-	r := rng.New(1)
-	if got := p.Sample(r); got != 3.5 {
-		t.Fatalf("Sample = %v, want 3.5", got)
-	}
-	if p.Mean() != 3.5 || p.Variance() != 0 {
-		t.Fatalf("moments wrong: mean=%v var=%v", p.Mean(), p.Variance())
-	}
-	if p.Exceed(3.4) != 1 || p.Exceed(3.5) != 0 || p.Exceed(4) != 0 {
-		t.Fatalf("Exceed wrong: %v %v %v", p.Exceed(3.4), p.Exceed(3.5), p.Exceed(4))
-	}
-}
 
 func TestNormalMoments(t *testing.T) {
 	n := Normal{Mu: 10, Sigma: 2}
@@ -96,34 +81,6 @@ func TestUniform(t *testing.T) {
 		if v < 2 || v > 6 {
 			t.Fatalf("sample out of range: %v", v)
 		}
-	}
-}
-
-func TestShifted(t *testing.T) {
-	s := Shifted{D: Normal{Mu: 1, Sigma: 0.5}, Offset: 2}
-	if s.Mean() != 3 {
-		t.Errorf("mean = %v", s.Mean())
-	}
-	if s.Variance() != 0.25 {
-		t.Errorf("variance = %v", s.Variance())
-	}
-	want := Normal{Mu: 3, Sigma: 0.5}.Exceed(3.2)
-	if got := s.Exceed(3.2); !almostEq(got, want, 1e-12) {
-		t.Errorf("Exceed = %v, want %v", got, want)
-	}
-}
-
-// nonTail is a Dist without analytic exceedance.
-type nonTail struct{}
-
-func (nonTail) Sample(*rand.Rand) float64 { return 1 }
-func (nonTail) Mean() float64             { return 1 }
-func (nonTail) Variance() float64         { return 0 }
-
-func TestShiftedExceedWithoutTail(t *testing.T) {
-	s := Shifted{D: nonTail{}, Offset: 1}
-	if !math.IsNaN(s.Exceed(0)) {
-		t.Errorf("Exceed on tail-less dist should be NaN")
 	}
 }
 

@@ -138,32 +138,3 @@ func (e *Empirical) Histogram(nbins int) (edges, density []float64) {
 	}
 	return edges, density
 }
-
-// KS returns the two-sample Kolmogorov–Smirnov statistic between e and
-// other: the sup-norm distance between their empirical CDFs. Used by
-// tests to validate analytic approximations against Monte Carlo.
-func (e *Empirical) KS(other *Empirical) float64 {
-	i, j := 0, 0
-	na, nb := len(e.xs), len(other.xs)
-	d := 0.0
-	for i < na && j < nb {
-		var x float64
-		if e.xs[i] <= other.xs[j] {
-			x = e.xs[i]
-		} else {
-			x = other.xs[j]
-		}
-		for i < na && e.xs[i] <= x {
-			i++
-		}
-		for j < nb && other.xs[j] <= x {
-			j++
-		}
-		fa := float64(i) / float64(na)
-		fb := float64(j) / float64(nb)
-		if diff := math.Abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	return d
-}

@@ -99,29 +99,6 @@ func TestEmpiricalHistogram(t *testing.T) {
 	}
 }
 
-func TestEmpiricalKS(t *testing.T) {
-	r := rng.New(5)
-	n := Normal{Mu: 0, Sigma: 1}
-	a := make([]float64, 20000)
-	b := make([]float64, 20000)
-	c := make([]float64, 20000)
-	for i := range a {
-		a[i] = n.Sample(r)
-		b[i] = n.Sample(r)
-		c[i] = n.Sample(r) + 2 // clearly shifted
-	}
-	ea, eb, ec := NewEmpirical(a), NewEmpirical(b), NewEmpirical(c)
-	if d := ea.KS(eb); d > 0.03 {
-		t.Errorf("same-dist KS = %v, want small", d)
-	}
-	if d := ea.KS(ec); d < 0.5 {
-		t.Errorf("shifted-dist KS = %v, want large", d)
-	}
-	if d := ea.KS(ea); d != 0 {
-		t.Errorf("self KS = %v, want 0", d)
-	}
-}
-
 func TestEmpiricalQuantileMonotone(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -174,12 +151,6 @@ func TestStatsHelpers(t *testing.T) {
 	}
 	if Variance([]float64{5}) != 0 {
 		t.Errorf("single-sample variance should be 0")
-	}
-	if ExceedFrac(xs, 2.5) != 0.5 {
-		t.Errorf("ExceedFrac = %v", ExceedFrac(xs, 2.5))
-	}
-	if Clamp01(-0.1) != 0 || Clamp01(1.1) != 1 || Clamp01(0.3) != 0.3 {
-		t.Errorf("Clamp01 wrong")
 	}
 }
 

@@ -55,31 +55,3 @@ func Correlation(xs, ys []float64) float64 {
 	}
 	return sxy / math.Sqrt(sxx*syy)
 }
-
-// ExceedFrac returns the fraction of samples strictly greater than x —
-// the Monte-Carlo estimator of the critical probability P(X > x).
-func ExceedFrac(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, v := range xs {
-		if v > x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// Clamp01 clamps p into [0, 1]; probability arithmetic on Monte-Carlo
-// estimates can step slightly outside the interval.
-func Clamp01(p float64) float64 {
-	switch {
-	case p < 0:
-		return 0
-	case p > 1:
-		return 1
-	default:
-		return p
-	}
-}

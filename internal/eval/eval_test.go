@@ -56,8 +56,8 @@ func TestSuccessRateMonotoneInK(t *testing.T) {
 		prev := 0.0
 		for k := 1; k <= 20; k++ {
 			s := res.SuccessRate(m, k)
-			if s < prev-1e-12 {
-				t.Errorf("%v: success rate decreased at K=%d", m, k)
+			if s < prev-1e-12 || s > 1 {
+				t.Errorf("%v: success rate %v at K=%d: not monotone in K or above 1", m, s, k)
 			}
 			prev = s
 		}
@@ -285,9 +285,6 @@ func TestRunCircuitTimings(t *testing.T) {
 	// least the first stage must always be present.
 	if !byName["atpg"] {
 		t.Errorf("stage atpg missing; have %v", byName)
-	}
-	if res.Timings.TotalSeconds() < 0 {
-		t.Errorf("total seconds = %v", res.Timings.TotalSeconds())
 	}
 	table := res.Timings.String()
 	if !strings.Contains(table, "atpg") || !strings.Contains(table, "total") {

@@ -1,9 +1,8 @@
 package eval
 
 import (
+	"context"
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/atpg"
 	"repro/internal/core"
@@ -68,7 +67,10 @@ func GuardbandCurve(cfg Config, quantiles []float64) ([]GuardbandPoint, error) {
 			pats[k] = tc.Pair
 			if tc.Path.Nominal > best {
 				best = tc.Path.Nominal
-				tl := m.TimingLength(tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2))
+				tl, err := m.TimingLengthCtx(context.Background(), tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2), 0)
+				if err != nil {
+					return nil, fmt.Errorf("eval: guardband case %d: %w", i, err)
+				}
 				longest = tl.Samples()
 			}
 		}
@@ -119,15 +121,4 @@ func quantileOf(samples []float64, q float64) float64 {
 		idx = len(samples) - 1
 	}
 	return samples[idx]
-}
-
-// WriteGuardbandCSV emits the sweep as CSV.
-func WriteGuardbandCSV(w io.Writer, pts []GuardbandPoint) error {
-	var sb strings.Builder
-	sb.WriteString("quantile,escape,false_alarm\n")
-	for _, p := range pts {
-		fmt.Fprintf(&sb, "%.3f,%.4f,%.4f\n", p.Quantile, p.Escape, p.FalseAlarm)
-	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

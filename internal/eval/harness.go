@@ -200,17 +200,6 @@ func (r *CircuitResult) EscapeRate() float64 {
 	return float64(n) / float64(len(r.Cases))
 }
 
-// RankCDF returns the success rate at every K from 1 to maxK — the
-// full diagnostic-resolution curve of which Table I reports three
-// points per circuit.
-func (r *CircuitResult) RankCDF(m core.Method, maxK int) []float64 {
-	out := make([]float64, maxK)
-	for k := 1; k <= maxK; k++ {
-		out[k-1] = r.SuccessRate(m, k)
-	}
-	return out
-}
-
 // MeanSuspects returns the average suspect-set size over non-escaped
 // cases (the paper reports 100–600 for the ISCAS circuits).
 func (r *CircuitResult) MeanSuspects() float64 {

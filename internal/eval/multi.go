@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/atpg"
@@ -114,8 +115,12 @@ func runMultiCase(c *circuit.Circuit, m *timing.Model, inj *defect.Injector, cfg
 				seen[k] = true
 				pats = append(pats, tc.Pair)
 			}
-			if tl := m.TimingLength(tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2)).Quantile(cfg.ClkQuantile); tl > clk {
-				clk = tl
+			tl, err := m.TimingLengthCtx(context.Background(), tc.Path.Arcs, cfg.ClkSamples, rng.Derive(caseSeed, 2), 0)
+			if err != nil {
+				return cs, err
+			}
+			if q := tl.Quantile(cfg.ClkQuantile); q > clk {
+				clk = q
 			}
 		}
 	}

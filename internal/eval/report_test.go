@@ -3,11 +3,7 @@ package eval
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
-
-func coreMethods() []core.Method { return core.Methods }
 
 func TestWriteReport(t *testing.T) {
 	res, err := RunCircuit(fastConfig("mini", 4))
@@ -34,29 +30,6 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-func TestRankCDF(t *testing.T) {
-	res, err := RunCircuit(fastConfig("small", 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range coreMethods() {
-		cdf := res.RankCDF(m, 15)
-		if len(cdf) != 15 {
-			t.Fatalf("cdf length %d", len(cdf))
-		}
-		prev := 0.0
-		for k, v := range cdf {
-			if v < prev || v > 1 {
-				t.Errorf("%v: CDF not monotone at K=%d", m, k+1)
-			}
-			prev = v
-		}
-		if cdf[0] != res.SuccessRate(m, 1) {
-			t.Errorf("CDF[0] mismatch")
-		}
-	}
-}
-
 func TestWriteTable1CSV(t *testing.T) {
 	rows := []Table1Row{
 		{Circuit: "s1196", K: 1, I: 5, II: 10, Rev: 15},
@@ -75,18 +48,5 @@ func TestWriteTable1CSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(lines[2], ",,,") {
 		t.Errorf("non-paper row should have empty paper cells: %s", lines[2])
-	}
-}
-
-func TestWriteFigure1CSV(t *testing.T) {
-	r := &Figure1Result{Points: []Figure1Point{
-		{Clk: 1, DetectLong: 0.5, DetectShort: 0.25, DetectOnMax: 0.75, DetectMasked: 0},
-	}}
-	var sb strings.Builder
-	if err := WriteFigure1CSV(&sb, r); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "1.0000,0.5000,0.2500,0.7500,0.0000") {
-		t.Errorf("CSV wrong:\n%s", sb.String())
 	}
 }

@@ -82,16 +82,6 @@ func EvalInto(dst []bool, c *circuit.Circuit, in Vector) []bool {
 	return vals
 }
 
-// OutputValues extracts the primary-output values from a gate-value
-// slice, indexed parallel to c.Outputs.
-func OutputValues(c *circuit.Circuit, vals []bool) []bool {
-	out := make([]bool, len(c.Outputs))
-	for i, o := range c.Outputs {
-		out[i] = vals[o]
-	}
-	return out
-}
-
 // EvalWords evaluates 64 patterns at once: in[i] packs the value of
 // input i across 64 patterns (bit b = pattern b). The result packs
 // every gate's value the same way. It is the allocating convenience
@@ -138,35 +128,8 @@ func EvalWordsInto(dst []uint64, c *circuit.Circuit, in []uint64) []uint64 {
 	return vals
 }
 
-// PackVectors packs up to 64 vectors into the word-parallel input form
-// consumed by EvalWords: word i holds input i's value across the
-// vectors, bit b belonging to vectors[b].
-//
-// Ragged-tail contract: when fewer than 64 vectors are packed, the
-// high bits of every word stay zero, so those pattern lanes evaluate
-// the all-zeros input vector. Callers that aggregate over lanes must
-// mask the result down to TailMask(len(vectors)) — the bits above
-// len(vectors) are well-defined but meaningless.
-func PackVectors(c *circuit.Circuit, vectors []Vector) ([]uint64, error) {
-	if len(vectors) > 64 {
-		return nil, fmt.Errorf("logicsim: %d vectors exceed the 64-per-word limit", len(vectors))
-	}
-	in := make([]uint64, len(c.Inputs))
-	for b, v := range vectors {
-		if len(v) != len(c.Inputs) {
-			return nil, fmt.Errorf("logicsim: vector %d has %d values for %d inputs", b, len(v), len(c.Inputs))
-		}
-		for i, bit := range v {
-			if bit {
-				in[i] |= 1 << uint(b)
-			}
-		}
-	}
-	return in, nil
-}
-
 // TailMask returns the mask selecting the n low pattern lanes of a
-// word — the valid lanes of a ragged (sub-64) PackVectors block.
+// word — the valid lanes of a ragged (sub-64) PackPatternPairs block.
 func TailMask(n int) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
@@ -186,18 +149,6 @@ type Transition struct {
 // SimulatePair runs two-vector transition simulation.
 func SimulatePair(c *circuit.Circuit, p PatternPair) Transition {
 	return Transition{Init: Eval(c, p.V1), Final: Eval(c, p.V2)}
-}
-
-// Transitions returns the set of gates whose settled value changes
-// between the two vectors.
-func (t Transition) Transitions(c *circuit.Circuit) circuit.GateSet {
-	s := c.NewGateSet()
-	for i := range t.Init {
-		if t.Init[i] != t.Final[i] {
-			s.Add(circuit.GateID(i))
-		}
-	}
-	return s
 }
 
 // SensitizedArcs traces backward from primary output index outIdx and

@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -51,7 +52,7 @@ func TestEvalC17Exhaustive(t *testing.T) {
 	for m := 0; m < 32; m++ {
 		in := Vector{m&1 != 0, m&2 != 0, m&4 != 0, m&8 != 0, m&16 != 0}
 		vals := Eval(c, in)
-		out := OutputValues(c, vals)
+		out := []bool{vals[c.Outputs[0]], vals[c.Outputs[1]]}
 		w22, w23 := c17Ref(in[0], in[1], in[2], in[3], in[4])
 		if out[0] != w22 || out[1] != w23 {
 			t.Errorf("m=%d: got %v/%v want %v/%v", m, out[0], out[1], w22, w23)
@@ -79,6 +80,47 @@ func randomVectors(r *rand.Rand, c *circuit.Circuit, n int) []Vector {
 		vectors[i] = v
 	}
 	return vectors
+}
+
+// PackVectors packs up to 64 vectors into the word-parallel input form
+// consumed by EvalWords: word i holds input i's value across the
+// vectors, bit b belonging to vectors[b]. It is the single-plane
+// reference the pair packer (PackPatternPairs) is tested against.
+//
+// Ragged-tail contract: when fewer than 64 vectors are packed, the
+// high bits of every word stay zero, so those pattern lanes evaluate
+// the all-zeros input vector. Callers that aggregate over lanes must
+// mask the result down to TailMask(len(vectors)) — the bits above
+// len(vectors) are well-defined but meaningless.
+func PackVectors(c *circuit.Circuit, vectors []Vector) ([]uint64, error) {
+	if len(vectors) > 64 {
+		return nil, fmt.Errorf("logicsim: %d vectors exceed the 64-per-word limit", len(vectors))
+	}
+	in := make([]uint64, len(c.Inputs))
+	for b, v := range vectors {
+		if len(v) != len(c.Inputs) {
+			return nil, fmt.Errorf("logicsim: vector %d has %d values for %d inputs", b, len(v), len(c.Inputs))
+		}
+		for i, bit := range v {
+			if bit {
+				in[i] |= 1 << uint(b)
+			}
+		}
+	}
+	return in, nil
+}
+
+// Transitions returns the set of gates whose settled value changes
+// between the two vectors: the scalar reference for the transition
+// properties the sensitization tests check.
+func (t Transition) Transitions(c *circuit.Circuit) circuit.GateSet {
+	s := c.NewGateSet()
+	for i := range t.Init {
+		if t.Init[i] != t.Final[i] {
+			s.Add(circuit.GateID(i))
+		}
+	}
+	return s
 }
 
 func mustPack(t *testing.T, c *circuit.Circuit, vectors []Vector) []uint64 {

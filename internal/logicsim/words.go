@@ -26,7 +26,7 @@ import (
 // Ragged blocks are safe without explicit masking here: an unused lane
 // packs all-zero inputs into both vectors, so no gate transitions on
 // it and no arc picks up its bit. Callers combining blocks should
-// still respect PackVectors' tail contract.
+// still respect PackPatternPairs' tail contract.
 //
 //ddd:hot
 func SensitizedArcsWordsInto(dst, active []uint64, c *circuit.Circuit, init, final []uint64, outIdx int) {
@@ -139,10 +139,14 @@ func TransitionConeArcsWordsInto(dst []uint64, cone circuit.GateSet, c *circuit.
 // word-parallel input planes consumed by EvalWords: init holds the V1
 // values, final the V2 values, word i covering input i with bit b
 // belonging to pairs[b]. It is the allocating convenience wrapper over
-// PackPatternPairsInto and shares PackVectors' error and ragged-tail
-// TailMask contract: with fewer than 64 pairs the high lanes of every
-// word stay zero (the all-zeros vector on both sides), so aggregating
-// callers must mask results down to TailMask(len(pairs)).
+// PackPatternPairsInto.
+//
+// More than 64 pairs, or a vector whose width differs from the input
+// count, is an error. Ragged-tail contract: with fewer than 64 pairs
+// the high lanes of every word stay zero (the all-zeros vector on both
+// sides), so those lanes evaluate a well-defined but meaningless
+// pattern and aggregating callers must mask results down to
+// TailMask(len(pairs)).
 func PackPatternPairs(c *circuit.Circuit, pairs []PatternPair) (init, final []uint64, err error) {
 	return PackPatternPairsInto(nil, nil, c, pairs)
 }

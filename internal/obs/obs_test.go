@@ -222,7 +222,7 @@ func TestStagesConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				s.Observe("stage", 1000, 1)
 				if i%100 == 0 {
-					_ = s.TotalSeconds()
+					_ = s.Snapshot()
 				}
 			}
 		}()

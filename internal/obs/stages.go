@@ -102,15 +102,6 @@ func (s *Stages) Snapshot() []NamedStage {
 	return out
 }
 
-// TotalSeconds returns the summed wall time across stages.
-func (s *Stages) TotalSeconds() float64 {
-	t := 0.0
-	for _, ns := range s.Snapshot() {
-		t += ns.Seconds
-	}
-	return t
-}
-
 // WriteTable renders the per-stage breakdown as an aligned table with
 // each stage's share of the total.
 func (s *Stages) WriteTable(w io.Writer) error {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,6 +140,30 @@ func TestBreakerHalfOpenProbeRace(t *testing.T) {
 }
 
 // --- ring diff --------------------------------------------------------
+
+// KeyMove records one key whose owner changed between two rings.
+type KeyMove struct {
+	Key  string
+	From string
+	To   string
+}
+
+// RingDiff returns the subset of keys whose owner differs between the
+// old and new rings, sorted by key: the ownership delta of a membership
+// change. By the ring's bounded-movement property the moved set after
+// a join contains only keys moving TO the joined replica, after a
+// leave only keys moving FROM the departed one.
+func RingDiff(oldRing, newRing *Ring, keys []string) []KeyMove {
+	var moves []KeyMove
+	for _, key := range keys {
+		from, to := oldRing.Owner(key), newRing.Owner(key)
+		if from != to {
+			moves = append(moves, KeyMove{Key: key, From: from, To: to})
+		}
+	}
+	sort.Slice(moves, func(i, j int) bool { return moves[i].Key < moves[j].Key })
+	return moves
+}
 
 // TestRingDiffJoinLeaveRejoin: the moved-key set RingDiff reports is
 // exactly the ownership delta — after a join every move lands on the
@@ -683,13 +708,16 @@ func TestRebalanceJournalResume(t *testing.T) {
 	if len(owned) == 0 {
 		t.Fatalf("second replica owns none of %d ids — nothing to resume", len(ids))
 	}
+	// The done record is appended after the dictionary lands, so wait
+	// for both before reading the journal.
 	waitUntil(t, 10*time.Second, "journal-driven resume", func() bool {
 		for _, id := range owned {
 			if _, err := os.Stat(filepath.Join(dirs[1], id+".dict")); err != nil {
 				return false
 			}
 		}
-		return true
+		data, err := os.ReadFile(jpath)
+		return err == nil && bytes.Count(data, []byte(`"status":"done"`)) >= len(owned)
 	})
 	data, err := os.ReadFile(jpath)
 	if err != nil {

@@ -60,7 +60,7 @@ func synthModel(t testing.TB, profile string, seed uint64) *Model {
 }
 
 // scalarSTA is the pre-blocked reference implementation of
-// MonteCarloSTA, retained verbatim (single-threaded) so the blocked
+// MonteCarloSTACtx, retained verbatim (single-threaded) so the blocked
 // kernels have a fixed point to be compared against.
 func scalarSTA(m *Model, nSamples int, seed uint64) (perOut [][]float64, delays []float64) {
 	perOut = make([][]float64, len(m.C.Outputs))
@@ -82,6 +82,16 @@ func scalarSTA(m *Model, nSamples int, seed uint64) (perOut [][]float64, delays 
 		delays[s] = worst
 	}
 	return perOut, delays
+}
+
+// PathDelay returns the fixed timing length of a path (a sequence of
+// arcs) on an instance: the scalar reference for TimingLengthCtx.
+func PathDelay(in *Instance, arcs []circuit.ArcID) float64 {
+	t := 0.0
+	for _, a := range arcs {
+		t += in.Delays[a]
+	}
+	return t
 }
 
 // scalarCriticalityCounts is the pre-blocked criticality inner loop,
@@ -197,7 +207,7 @@ func TestBlockedCriticalityMatchesScalar(t *testing.T) {
 			const nSamples = 41
 			want := scalarCriticalityCounts(m, nSamples, 23)
 			for _, workers := range []int{1, 3} {
-				cr := m.MonteCarloCriticality(nSamples, 23, workers)
+				cr := mustCriticality(t, m, nSamples, 23, workers)
 				for i, w := range want {
 					got := cr.Prob[i] * float64(nSamples)
 					if math.Round(got) != float64(w) || math.Abs(got-float64(w)) > 1e-9 {
@@ -210,7 +220,7 @@ func TestBlockedCriticalityMatchesScalar(t *testing.T) {
 }
 
 // TestTimingLengthCtxMatchesScalar pins TimingLengthCtx to the scalar
-// PathDelay reference and to the TimingLength wrapper.
+// PathDelay reference.
 func TestTimingLengthCtxMatchesScalar(t *testing.T) {
 	m := synthModel(t, "small", 4)
 	// A pseudo-path of spread arcs is enough: TimingLength sums
@@ -277,9 +287,10 @@ func FuzzBlockedSTA(f *testing.F) {
 // samples must not grow allocations beyond a small pool-miss slack.
 func TestSTAAllocBudget(t *testing.T) {
 	m := synthModel(t, "small", 4)
-	m.MonteCarloSTA(64, 7, 1) // warm the scratch pool
+	ctx := context.Background()
+	mustSTA(t, m, 64, 7, 1) // warm the scratch pool
 	alloc := func(n int) float64 {
-		return testing.AllocsPerRun(3, func() { m.MonteCarloSTA(n, 7, 1) })
+		return testing.AllocsPerRun(3, func() { _, _ = m.MonteCarloSTACtx(ctx, n, 7, 1) })
 	}
 	a256, a1024 := alloc(256), alloc(1024)
 	// Budget: result assembly is O(outputs) allocations; growth with

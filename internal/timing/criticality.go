@@ -21,7 +21,7 @@ type Criticality struct {
 	Prob []float64 // indexed by ArcID
 }
 
-// MonteCarloCriticality samples nSamples instances; on each, it
+// MonteCarloCriticalityCtx samples nSamples instances; on each, it
 // computes arrival times, walks the critical path backward from the
 // latest output, and counts each traversed arc. Workers bound the
 // parallelism (0 = GOMAXPROCS, see par.Workers).
@@ -29,16 +29,12 @@ type Criticality struct {
 // nSamples <= 0 returns the zero-value Criticality (every probability
 // zero): no samples means no evidence, and an estimate over an empty
 // sample set is the empty estimate, never a division by zero.
-func (m *Model) MonteCarloCriticality(nSamples int, seed uint64, workers int) *Criticality {
-	cr, _ := m.MonteCarloCriticalityCtx(context.Background(), nSamples, seed, workers)
-	return cr
-}
-
-// MonteCarloCriticalityCtx is MonteCarloCriticality with cooperative
-// cancellation: workers check ctx between sample blocks and stop early
-// when it is done. A cancelled run returns (nil, ctx.Err()) — a
-// partial criticality estimate would be silently biased toward the
-// samples that happened to finish, so none is returned.
+//
+// Cancellation is cooperative: workers check ctx between sample
+// blocks and stop early when it is done. A cancelled run returns
+// (nil, ctx.Err()) — a partial criticality estimate would be silently
+// biased toward the samples that happened to finish, so none is
+// returned.
 //
 // Samples are propagated in blocks on reusable per-worker scratch
 // (see kernel.go); per-arc counts accumulate in int64 per worker and

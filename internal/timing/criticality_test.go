@@ -16,7 +16,7 @@ func TestCriticalityChainIsCertain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(c, DefaultParams())
-	cr := m.MonteCarloCriticality(200, 7, 0)
+	cr := mustCriticality(t, m, 200, 7, 0)
 	for i, p := range cr.Prob {
 		if math.Abs(p-1) > 1e-12 {
 			t.Errorf("chain arc %d criticality = %v, want 1", i, p)
@@ -33,7 +33,7 @@ func TestCriticalityDiamondFavorsSlowBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(c, DefaultParams())
-	cr := m.MonteCarloCriticality(500, 7, 0)
+	cr := mustCriticality(t, m, 500, 7, 0)
 	s2, _ := c.GateByName("s2")
 	f, _ := c.GateByName("f")
 	o, _ := c.GateByName("o")
@@ -59,8 +59,8 @@ func TestCriticalityDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(c, DefaultParams())
-	a := m.MonteCarloCriticality(300, 9, 1)
-	b := m.MonteCarloCriticality(300, 9, 4)
+	a := mustCriticality(t, m, 300, 9, 1)
+	b := mustCriticality(t, m, 300, 9, 4)
 	for i := range a.Prob {
 		if math.Abs(a.Prob[i]-b.Prob[i]) > 1e-12 {
 			t.Fatalf("criticality depends on workers at arc %d", i)
@@ -74,7 +74,7 @@ func TestCriticalityTop(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel(c, DefaultParams())
-	cr := m.MonteCarloCriticality(400, 9, 0)
+	cr := mustCriticality(t, m, 400, 9, 0)
 	top := cr.Top(5)
 	if len(top) == 0 {
 		t.Fatal("no critical arcs")
@@ -101,7 +101,7 @@ func TestCriticalityZeroSamples(t *testing.T) {
 	}
 	m := NewModel(c, DefaultParams())
 	for _, n := range []int{0, -3} {
-		cr := m.MonteCarloCriticality(n, 4, 0)
+		cr := mustCriticality(t, m, n, 4, 0)
 		if len(cr.Prob) != len(c.Arcs) {
 			t.Fatalf("nSamples=%d: len(Prob) = %d, want %d", n, len(cr.Prob), len(c.Arcs))
 		}

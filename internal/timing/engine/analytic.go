@@ -9,10 +9,6 @@ import (
 	"repro/internal/timing"
 )
 
-func init() {
-	Register("analytic", func(m *timing.Model) timing.Engine { return NewAnalytic(m) })
-}
-
 // Analytic is the closed-form SSTA engine: arrival times propagate
 // through the circuit as first-order canonical normals under Clark's
 // moment-matching max operator, with the correlation between
@@ -58,8 +54,8 @@ func (e *Analytic) Name() string { return "analytic" }
 // along A's dominant paths. Keeping the global sensitivity g separate
 // from the pooled local variance lv is what lets the max operator
 // compute the covariance of two arrivals — paths through common
-// process conditions correlate via g·g' — instead of assuming a single
-// circuit-wide correlation like the ClarkSTA seed did.
+// process conditions correlate via g·g' — instead of assuming one
+// circuit-wide correlation.
 type cnorm struct {
 	mu float64 // mean
 	g  float64 // sensitivity to the global factor

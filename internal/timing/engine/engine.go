@@ -1,21 +1,17 @@
-// Package engine provides the pluggable statistical timing backends
-// behind the timing.Engine interface: "mc", a thin wrapper over the
-// blocked Monte-Carlo kernels (bit-identical to calling them
-// directly), and "analytic", a closed-form SSTA engine that grows the
-// ClarkSTA seed into full moment-matched propagation with correlation
-// tracking (DESIGN.md §14).
+// Package engine provides the two statistical timing backends behind
+// the timing.Engine interface: "mc", a thin wrapper over the blocked
+// Monte-Carlo kernels (bit-identical to calling them directly), and
+// "analytic", closed-form SSTA by Clark moment matching with
+// correlation tracking (DESIGN.md §14).
 //
-// Backends self-register by name at init time; call sites select one
-// with New(name, model), where the empty name means DefaultName. The
-// registry keeps engine construction string-driven so binaries expose
-// a uniform `-engine {mc,analytic}` flag and configs serialize the
-// choice as data.
+// Call sites select a backend with New(name, model), where the empty
+// name means DefaultName. Selection stays string-driven so binaries
+// expose a uniform `-engine {mc,analytic}` flag and configs serialize
+// the choice as data.
 package engine
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/timing"
 )
@@ -24,58 +20,27 @@ import (
 // the bit-exact oracle every result in the repo is defined against.
 const DefaultName = "mc"
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func(*timing.Model) timing.Engine{}
-)
-
-// Register installs a backend factory under name. Registering a
-// duplicate name panics: two backends answering to one name would make
-// `-engine` selection ambiguous.
-func Register(name string, factory func(*timing.Model) timing.Engine) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate registration of %q", name))
-	}
-	registry[name] = factory
-}
-
 // New constructs the named engine over m. The empty name selects
 // DefaultName; an unknown name is an error listing the known engines.
 func New(name string, m *timing.Model) (timing.Engine, error) {
-	if name == "" {
-		name = DefaultName
+	switch name {
+	case "", "mc":
+		return NewMC(m), nil
+	case "analytic":
+		return NewAnalytic(m), nil
 	}
-	regMu.RLock()
-	factory, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
-	}
-	return factory(m), nil
+	return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 }
 
-// Known reports whether name selects a registered engine ("" counts:
-// it selects the default).
+// Known reports whether name selects an engine ("" counts: it selects
+// the default).
 func Known(name string) bool {
-	if name == "" {
+	switch name {
+	case "", "mc", "analytic":
 		return true
 	}
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
+	return false
 }
 
-// Names returns the registered engine names, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// Names returns the engine names, sorted.
+func Names() []string { return []string{"analytic", "mc"} }

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/synth"
 	"repro/internal/timing"
@@ -57,18 +59,35 @@ func TestRegistry(t *testing.T) {
 
 // TestMCBitIdentity pins the MC engine to the underlying kernels: the
 // adapter must forward verbatim, so every statistic is bit-identical
-// to calling the Model methods directly.
+// to calling the Model's ...Ctx methods directly, which is what the
+// non-engine call sites do. The second input is a ragged sample count
+// (not a multiple of the block width) under an explicit worker bound.
 func TestMCBitIdentity(t *testing.T) {
-	m := synthModel(t, "small", 7)
+	for _, in := range []struct {
+		profile     string
+		circuitSeed uint64
+		n           int
+		seed        uint64
+		workers     int
+	}{
+		{"small", 7, 2000, 42, 0},
+		{"mini", 3, 37, 5, 2},
+	} {
+		m := synthModel(t, in.profile, in.circuitSeed)
+		checkMCBitIdentity(t, m, in.n, in.seed, in.workers)
+	}
+}
+
+func checkMCBitIdentity(t *testing.T, m *timing.Model, n int, seed uint64, workers int) {
+	t.Helper()
 	eng := NewMC(m)
 	ctx := context.Background()
-	const n, seed = 2000, 42
 
-	sta, err := eng.STA(ctx, n, seed, 0)
+	sta, err := eng.STA(ctx, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := m.MonteCarloSTACtx(ctx, n, seed, 0)
+	ref, err := m.MonteCarloSTACtx(ctx, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +100,11 @@ func TestMCBitIdentity(t *testing.T) {
 		}
 	}
 
-	cr, err := eng.Criticality(ctx, n, seed, 0)
+	cr, err := eng.Criticality(ctx, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crRef, err := m.MonteCarloCriticalityCtx(ctx, n, seed, 0)
+	crRef, err := m.MonteCarloCriticalityCtx(ctx, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,28 +113,60 @@ func TestMCBitIdentity(t *testing.T) {
 	}
 
 	arcs := longestStructuralPath(m)
-	tl, err := eng.TimingLength(ctx, arcs, n, seed, 0)
+	tl, err := eng.TimingLength(ctx, arcs, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlRef, err := m.TimingLengthCtx(ctx, arcs, n, seed, 0)
+	tlRef, err := m.TimingLengthCtx(ctx, arcs, n, seed, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Quantile(0.99) != tlRef.Quantile(0.99) {
+	if !reflect.DeepEqual(tl.(*dist.Empirical).Samples(), tlRef.Samples()) {
 		t.Error("TimingLength differs from TimingLengthCtx")
 	}
 
-	clk, err := eng.SuggestClock(ctx, 0.99, n, rng.Derive(seed, 1), 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, q := range []float64{0.5, 0.99} {
+		clk, err := eng.SuggestClock(ctx, q, n, rng.Derive(seed, 1), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clkRef, err := m.SuggestClockCtx(ctx, q, n, rng.Derive(seed, 1), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(clk) != math.Float64bits(clkRef) {
+			t.Errorf("q=%v: SuggestClock %v != SuggestClockCtx %v", q, clk, clkRef)
+		}
 	}
-	clkRef, err := m.SuggestClockCtx(ctx, 0.99, n, rng.Derive(seed, 1), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clk != clkRef {
-		t.Errorf("SuggestClock %v != SuggestClockCtx %v", clk, clkRef)
+}
+
+// TestMCZeroSamples: the Monte-Carlo methods that build an empirical
+// distribution reject nSamples < 1 with an error instead of handing an
+// empty sample set to dist.NewEmpirical (which panics). Criticality's
+// zero-sample contract is the zero-value estimate, tested in
+// internal/timing.
+func TestMCZeroSamples(t *testing.T) {
+	eng := NewMC(synthModel(t, "mini", 1))
+	ctx := context.Background()
+	arcs := longestStructuralPath(eng.m)
+	for _, tc := range []struct {
+		name string
+		call func(n int) error
+	}{
+		{"STA", func(n int) error { _, err := eng.STA(ctx, n, 7, 0); return err }},
+		{"TimingLength", func(n int) error { _, err := eng.TimingLength(ctx, arcs, n, 7, 0); return err }},
+		{"SuggestClock", func(n int) error { _, err := eng.SuggestClock(ctx, 0.95, n, 7, 0); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{0, -1} {
+				if err := tc.call(n); err == nil {
+					t.Errorf("nSamples=%d: err = nil", n)
+				}
+			}
+			if err := tc.call(1); err != nil {
+				t.Errorf("nSamples=1: %v", err)
+			}
+		})
 	}
 }
 

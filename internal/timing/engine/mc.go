@@ -8,10 +8,6 @@ import (
 	"repro/internal/timing"
 )
 
-func init() {
-	Register("mc", func(m *timing.Model) timing.Engine { return NewMC(m) })
-}
-
 // MC is the Monte-Carlo engine: a thin adapter over the blocked
 // sampling kernels (MonteCarloSTACtx, MonteCarloCriticalityCtx,
 // TimingLengthCtx, SuggestClockCtx). Every method forwards its

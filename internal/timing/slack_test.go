@@ -104,7 +104,7 @@ func TestSlackMatchesCriticality(t *testing.T) {
 	}
 	slacks := m.Slacks(in, worst)
 	minArc := MinSlackArcs(slacks, 1)[0]
-	cr := m.MonteCarloCriticality(400, 7, 0)
+	cr := mustCriticality(t, m, 400, 7, 0)
 	if cr.Prob[minArc] < 0.2 {
 		t.Errorf("min-slack arc %d has low statistical criticality %v", minArc, cr.Prob[minArc])
 	}

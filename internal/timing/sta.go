@@ -2,7 +2,7 @@ package timing
 
 import (
 	"context"
-	"math"
+	"fmt"
 	"time"
 
 	"repro/internal/circuit"
@@ -50,21 +50,18 @@ func (r *STAResult) CriticalProb(clk float64) float64 {
 	return r.CircuitDelay.Exceed(clk)
 }
 
-// MonteCarloSTA estimates the output arrival distributions by sampling
-// nSamples circuit instances (deterministically derived from seed) and
-// running static timing on each, fanning out across workers goroutines
-// (0 = GOMAXPROCS, see par.Workers).
-func (m *Model) MonteCarloSTA(nSamples int, seed uint64, workers int) *STAResult {
-	res, _ := m.MonteCarloSTACtx(context.Background(), nSamples, seed, workers)
-	return res
-}
-
-// MonteCarloSTACtx is MonteCarloSTA with cooperative cancellation:
-// workers stop claiming sample blocks once ctx is done (the fan-out
-// checks between blocks, so a cancel lands within one block of static
-// timing per worker). A cancelled run returns (nil, ctx.Err()) — the
-// partially filled per-output arrays would bias every quantile toward
-// whichever samples completed, so no partial distribution is built.
+// MonteCarloSTACtx estimates the output arrival distributions by
+// sampling nSamples circuit instances (deterministically derived from
+// seed) and running static timing on each, fanning out across workers
+// goroutines (0 = GOMAXPROCS, see par.Workers). nSamples < 1 is an
+// error: an empirical distribution over no samples has no quantiles.
+//
+// Cancellation is cooperative: workers stop claiming sample blocks
+// once ctx is done (the fan-out checks between blocks, so a cancel
+// lands within one block of static timing per worker). A cancelled
+// run returns (nil, ctx.Err()) — the partially filled per-output
+// arrays would bias every quantile toward whichever samples completed,
+// so no partial distribution is built.
 func (m *Model) MonteCarloSTACtx(ctx context.Context, nSamples int, seed uint64, workers int) (*STAResult, error) {
 	return m.monteCarloSTABlocked(ctx, nSamples, seed, workers, DefaultBlock)
 }
@@ -74,13 +71,14 @@ func (m *Model) MonteCarloSTACtx(ctx context.Context, nSamples int, seed uint64,
 // and the fuzz target can vary it. Results are bit-identical for every
 // block >= 1 (see the kernel contract in kernel.go).
 func (m *Model) monteCarloSTABlocked(ctx context.Context, nSamples int, seed uint64, workers, block int) (*STAResult, error) {
+	if nSamples < 1 {
+		return nil, errNoSamples(nSamples)
+	}
 	start := time.Now()
 	defer func() {
 		staSeconds.Add(time.Since(start).Seconds())
 	}()
-	if nSamples > 0 {
-		staSamples.Add(float64(nSamples))
-	}
+	staSamples.Add(float64(nSamples))
 	nOut := len(m.C.Outputs)
 	perOut := make([][]float64, nOut)
 	for i := range perOut {
@@ -138,77 +136,26 @@ func (m *Model) monteCarloSTABlocked(ctx context.Context, nSamples int, seed uin
 	return res, nil
 }
 
-// ClarkSTA propagates normal approximations through the circuit using
-// Clark's max operator, with the pairwise correlation implied by the
-// model's global/local split. It returns per-output arrival normals
-// and the circuit-delay normal. This is the fast analytic mode; the
-// ablation bench compares it against MonteCarloSTA.
-func (m *Model) ClarkSTA() (arrivals []dist.Normal, delay dist.Normal) {
-	rho := m.Correlation()
-	arr := make([]dist.Normal, len(m.C.Gates))
-	sigmaRel := sqrtSum(m.P.SigmaGlobal, m.P.SigmaLocal)
-	for _, gid := range m.C.Order {
-		g := &m.C.Gates[gid]
-		if len(g.Fanin) == 0 {
-			arr[gid] = dist.Normal{}
-			continue
-		}
-		var acc dist.Normal
-		for k, fi := range g.Fanin {
-			nom := m.Nominal[g.InArcs[k]]
-			arcN := dist.Normal{Mu: nom, Sigma: nom * sigmaRel}
-			// Arrival and arc delay share the global factor: correlate
-			// the sum with rho as a first-order approximation.
-			cand := dist.SumNormal(arr[fi], arcN, rho)
-			if k == 0 {
-				acc = cand
-			} else {
-				acc, _ = dist.MaxNormal(acc, cand, rho)
-			}
-		}
-		arr[gid] = acc
-	}
-	arrivals = make([]dist.Normal, len(m.C.Outputs))
-	for i, o := range m.C.Outputs {
-		arrivals[i] = arr[o]
-	}
-	delay = dist.MaxNormals(arrivals, rho)
-	return arrivals, delay
+// errNoSamples reports a Monte-Carlo request for fewer than one
+// sample.
+func errNoSamples(nSamples int) error {
+	return fmt.Errorf("timing: nSamples = %d, want >= 1", nSamples)
 }
 
-func sqrtSum(a, b float64) float64 {
-	return math.Sqrt(a*a + b*b)
-}
-
-// PathDelay returns the fixed timing length of a path (a sequence of
-// arcs) on an instance.
-func PathDelay(in *Instance, arcs []circuit.ArcID) float64 {
-	t := 0.0
-	for _, a := range arcs {
-		t += in.Delays[a]
-	}
-	return t
-}
-
-// TimingLength estimates the statistical timing length TL(p) of a path
-// by Monte Carlo over nSamples instances, using all CPUs.
-func (m *Model) TimingLength(arcs []circuit.ArcID, nSamples int, seed uint64) *dist.Empirical {
-	tl, _ := m.TimingLengthCtx(context.Background(), arcs, nSamples, seed, 0)
-	return tl
-}
-
-// TimingLengthCtx is TimingLength with cooperative cancellation and an
-// explicit worker bound (0 = GOMAXPROCS, see par.Workers). Instances
-// are sampled in blocks on reusable per-worker scratch; each sample
-// draws the full instance (the same rng.NewDerived(seed, s) stream as
-// every other Monte-Carlo entry point) and sums the path's arc delays
-// in path order, so results are bit-identical to the scalar
-// PathDelay(SampleInstanceSeeded(seed, s), arcs). A cancelled run
-// returns (nil, ctx.Err()).
+// TimingLengthCtx estimates the statistical timing length TL(p) of a
+// path by Monte Carlo over nSamples >= 1 instances, with cooperative
+// cancellation and an explicit worker bound (0 = GOMAXPROCS, see
+// par.Workers). Instances are sampled in blocks on reusable per-worker
+// scratch; each sample draws the full instance (the same
+// rng.NewDerived(seed, s) stream as every other Monte-Carlo entry
+// point) and sums the path's arc delays in path order, so results are
+// bit-identical to summing the arcs of SampleInstanceSeeded(seed, s)
+// one sample at a time. A cancelled run returns (nil, ctx.Err()).
 func (m *Model) TimingLengthCtx(ctx context.Context, arcs []circuit.ArcID, nSamples int, seed uint64, workers int) (*dist.Empirical, error) {
-	if nSamples > 0 {
-		tlSamples.Add(float64(nSamples))
+	if nSamples < 1 {
+		return nil, errNoSamples(nSamples)
 	}
+	tlSamples.Add(float64(nSamples))
 	xs := make([]float64, nSamples)
 	block := DefaultBlock
 	nBlocks := (nSamples + block - 1) / block
@@ -250,20 +197,12 @@ func (m *Model) TimingLengthCtx(ctx context.Context, arcs []circuit.ArcID, nSamp
 // auxiliary instance stream distinct from the main MC stream.
 const quantileSeed = 0x51a9
 
-// SuggestClock returns the q-quantile of the Monte-Carlo circuit-delay
-// distribution — the natural way to pick the cut-off period clk for an
-// experiment (e.g. q = 0.95 puts 5 % of defect-free dies over clk).
-func (m *Model) SuggestClock(q float64, nSamples int, seed uint64) float64 {
-	clk, _ := m.SuggestClockCtx(context.Background(), q, nSamples, seed, 0)
-	return clk
-}
-
-// SuggestClockCtx is SuggestClock with cooperative cancellation and an
-// explicit worker bound, threading ctx into the underlying Monte-Carlo
-// STA run (which checks it between sample blocks). A cancelled run
-// returns (0, ctx.Err()). The sub-stream derivation (quantileSeed) is
-// identical to SuggestClock's, so both produce bit-identical clocks
-// from the same seed.
+// SuggestClockCtx returns the q-quantile of the Monte-Carlo
+// circuit-delay distribution over nSamples >= 1 instances — the
+// natural way to pick the cut-off period clk for an experiment (e.g.
+// q = 0.95 puts 5 % of defect-free dies over clk). ctx is threaded into
+// the underlying Monte-Carlo STA run (which checks it between sample
+// blocks); a cancelled run returns (0, ctx.Err()).
 func (m *Model) SuggestClockCtx(ctx context.Context, q float64, nSamples int, seed uint64, workers int) (float64, error) {
 	res, err := m.MonteCarloSTACtx(ctx, nSamples, rng.Derive(seed, quantileSeed), workers)
 	if err != nil {

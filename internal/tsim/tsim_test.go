@@ -1,6 +1,7 @@
 package tsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -171,7 +172,10 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 400, 1)
+	clk, err := m.SuggestClockCtx(context.Background(), 0.9, 400, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := NewEngine(c)
 	engInc := NewEngine(c)
 	r := rng.New(77)
@@ -217,7 +221,10 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.85, 400, 2)
+	clk, err := m.SuggestClockCtx(context.Background(), 0.85, 400, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(123)
 	inst := m.SampleInstance(r)
 	v1 := make(logicsim.Vector, len(c.Inputs))
@@ -259,7 +266,10 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := timing.NewModel(c, timing.DefaultParams())
-	clk := m.SuggestClock(0.9, 300, 3)
+	clk, err := m.SuggestClockCtx(context.Background(), 0.9, 300, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := rng.New(9)
 	inst := m.SampleInstance(r)
 	v1 := make(logicsim.Vector, len(c.Inputs))

@@ -4,11 +4,12 @@
 // defect diagnosis for gate-level circuits, together with every
 // substrate it needs — a netlist model with ISCAS'89 .bench I/O and a
 // statistics-matched benchmark generator, a correlated statistical
-// timing model with Monte-Carlo and Clark-approximation STA, an
-// event-driven timed simulator with defect overlays, path enumeration,
-// a two-frame PODEM path-delay ATPG, segment-oriented defect models,
-// the probabilistic fault dictionary, the paper's four diagnosis error
-// functions, and the full Table-I / Figure-1..3 evaluation harness.
+// timing model with two interchangeable STA engines (Monte Carlo and
+// closed-form Clark moment matching), an event-driven timed simulator
+// with defect overlays, path enumeration, a two-frame PODEM path-delay
+// ATPG, segment-oriented defect models, the probabilistic fault
+// dictionary, the paper's four diagnosis error functions, and the full
+// Table-I / Figure-1..3 evaluation harness.
 //
 // This package is the stable facade: it re-exports the workflow types
 // and provides one-call helpers for the common pipelines. The
@@ -296,11 +297,6 @@ func MergeDictionaries(a, b *Dictionary) (*Dictionary, error) { return core.Merg
 // ErrorFuncNames lists the registered extension error functions usable
 // with Dictionary.DiagnoseNamed (L1, chebyshev, loglik).
 func ErrorFuncNames() []string { return core.ErrorFuncNames() }
-
-// MonteCarloCriticality estimates per-arc critical-path probabilities.
-func MonteCarloCriticality(m *TimingModel, samples int, seed uint64) *Criticality {
-	return m.MonteCarloCriticality(samples, seed, 0)
-}
 
 // ScanMap relates pseudo inputs to the pseudo outputs feeding them.
 type ScanMap = logicsim.ScanMap

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,8 +58,12 @@ func TestFacadeFullPipeline(t *testing.T) {
 	clk := 0.0
 	for i, tc := range tests {
 		pats[i] = tc.Pair
-		if tl := model.TimingLength(tc.Path.Arcs, 200, 13).Quantile(0.9); tl > clk {
-			clk = tl
+		tl, err := model.TimingLengthCtx(context.Background(), tc.Path.Arcs, 200, 13, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q := tl.Quantile(0.9); q > clk {
+			clk = q
 		}
 	}
 	behavior := repro.SimulateBehavior(c, die, pats, truth, clk)
