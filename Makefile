@@ -40,10 +40,13 @@ lint-obs:
 # the kill-and-resume checkpoint smoke, the analytic-engine acceptance
 # gate, the allocation budget of the dictionary build loop
 # (steady-state allocs must be independent of the Monte-Carlo sample
-# count), and a vet of the nested perfbench module, which `go test ./...`
-# does not build, so an API it calls cannot be deleted unnoticed.
+# count), and a vet and test of the nested perfbench module, which
+# `go test ./...` does not build: an API it calls cannot be deleted
+# unnoticed, and its TestPipelineEquivalence gates every change to the
+# eval, core and tsim layers it drives.
 ci: build lint lint-self lint-obs smoke-serve smoke-router loadtest chaos-router smoke-resume accept
 	cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly $(GO) vet .
+	cd perfbench && GOPROXY=off GOFLAGS=-mod=readonly $(GO) test .
 	$(GO) test -race ./...
 	$(GO) test ./internal/core -run '^TestBuildDictionaryAllocBudget$$' -count=1
 

@@ -210,7 +210,7 @@ func BuildDictionaryCtx(ctx context.Context, m *timing.Model, patterns []logicsi
 				}
 				var res *tsim.Result
 				if cfg.Incremental {
-					res = wk.engInc.RunIncrementalCone(wk.delays, base, cones[i], arc, wk.sizes[i], cfg.Clk)
+					res = wk.engInc.RunIncremental(wk.delays, base, cones[i], arc, wk.sizes[i], cfg.Clk)
 				} else {
 					o2 := tsim.AtClock(cfg.Clk)
 					o2.DefectArc = arc

@@ -84,19 +84,6 @@ func TestUniform(t *testing.T) {
 	}
 }
 
-func TestSumNormal(t *testing.T) {
-	a := Normal{Mu: 3, Sigma: 1}
-	b := Normal{Mu: 4, Sigma: 2}
-	s := SumNormal(a, b, 0)
-	if s.Mu != 7 || !almostEq(s.Sigma, math.Sqrt(5), 1e-12) {
-		t.Errorf("independent sum = %+v", s)
-	}
-	sc := SumNormal(a, b, 1)
-	if !almostEq(sc.Sigma, 3, 1e-12) {
-		t.Errorf("fully correlated sum sigma = %v, want 3", sc.Sigma)
-	}
-}
-
 func TestMaxNormalAgainstMC(t *testing.T) {
 	a := Normal{Mu: 10, Sigma: 1}
 	b := Normal{Mu: 10.5, Sigma: 1.5}
@@ -135,20 +122,6 @@ func TestMaxNormalDegenerate(t *testing.T) {
 	if m2 != a || p2 != 0 {
 		t.Errorf("degenerate max = %+v p=%v, want a, 0", m2, p2)
 	}
-}
-
-func TestMaxNormalsFold(t *testing.T) {
-	ns := []Normal{{1, 0.1}, {5, 0.1}, {3, 0.1}}
-	m := MaxNormals(ns, 0)
-	if !almostEq(m.Mu, 5, 0.05) {
-		t.Errorf("fold mean = %v, want ~5", m.Mu)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("MaxNormals(empty) should panic")
-		}
-	}()
-	MaxNormals(nil, 0)
 }
 
 func TestMaxDominanceProperty(t *testing.T) {

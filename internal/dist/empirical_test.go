@@ -153,24 +153,3 @@ func TestStatsHelpers(t *testing.T) {
 		t.Errorf("single-sample variance should be 0")
 	}
 }
-
-func TestCorrelation(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	if c := Correlation(xs, ys); !almostEq(c, 1, 1e-12) {
-		t.Errorf("perfect corr = %v", c)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	if c := Correlation(xs, neg); !almostEq(c, -1, 1e-12) {
-		t.Errorf("perfect anticorr = %v", c)
-	}
-	if c := Correlation(xs, []float64{3, 3, 3, 3, 3}); !math.IsNaN(c) {
-		t.Errorf("constant corr = %v, want NaN", c)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("length mismatch should panic")
-		}
-	}()
-	Correlation(xs, []float64{1})
-}

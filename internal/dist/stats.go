@@ -34,24 +34,3 @@ func Variance(xs []float64) float64 {
 
 // Std returns the sample standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Correlation returns the Pearson correlation coefficient between xs
-// and ys. It panics if the lengths differ and returns NaN when either
-// sample is constant.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) {
-		panic("dist: Correlation length mismatch")
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}

@@ -543,12 +543,7 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var peek struct {
-		Dict string `json:"dict"`
-	}
-	// Errors are deliberately ignored: the replica owns rejection.
-	_ = json.Unmarshal(body, &peek)
-	res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose", "application/json", body, rt.owners(peek.Dict))
+	res, err := rt.forward(r.Context(), http.MethodPost, "/v1/diagnose", "application/json", body, rt.owners(keyOf(body)))
 	if err != nil {
 		rt.writeForwardError(w, err)
 		return
@@ -617,11 +612,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	order := make([]string, 0, 4) // owners in first-appearance order
 	ring := rt.ms.Ring()          // one snapshot for the whole batch
 	for i, item := range breq.Requests {
-		var peek struct {
-			Dict string `json:"dict"`
-		}
-		_ = json.Unmarshal(item, &peek)
-		owner := ring.Owner(peek.Dict)
+		owner := ring.Owner(keyOf(item))
 		g, okg := groups[owner]
 		if !okg {
 			g = &group{owner: owner}
@@ -634,12 +625,7 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	if len(order) == 1 {
 		// One owner holds every dictionary in the batch: forward the
 		// client's bytes untouched.
-		first := groups[order[0]]
-		var peek struct {
-			Dict string `json:"dict"`
-		}
-		_ = json.Unmarshal(first.items[0], &peek)
-		forwardWhole(peek.Dict)
+		forwardWhole(keyOf(groups[order[0]].items[0]))
 		return
 	}
 
@@ -704,13 +690,35 @@ func (rt *Router) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// keyOf peeks the routing key (dictionary id) out of one batch item.
+// keyOf peeks the routing key (dictionary id) out of one diagnose
+// request body or batch item. Errors are deliberately ignored: the
+// replica owns rejection.
 func keyOf(item json.RawMessage) string {
 	var peek struct {
 		Dict string `json:"dict"`
 	}
 	_ = json.Unmarshal(item, &peek)
 	return peek.Dict
+}
+
+// fanOut sends GET path to every replica in reps concurrently and
+// returns the outcomes in reps order. Like forward, the whole fan-out
+// is bounded by RequestTimeout, so one hung replica costs the caller a
+// timeout error rather than an unanswered request.
+func (rt *Router) fanOut(ctx context.Context, reps []string, path string) []attemptOutcome {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.RequestTimeout)
+	defer cancel()
+	outs := make([]attemptOutcome, len(reps))
+	var wg sync.WaitGroup
+	for i, rep := range reps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = rt.attempt(ctx, i, http.MethodGet, rep+path, "", nil)
+		}()
+	}
+	wg.Wait()
+	return outs
 }
 
 // handleDicts implements GET /v1/dicts as the union over the live
@@ -724,25 +732,8 @@ func (rt *Router) handleDicts(w http.ResponseWriter, r *http.Request) {
 		Cached bool   `json:"cached"`
 	}
 	replicas := rt.ms.Live()
-	type fanResult struct {
-		res *upstreamResult
-		err error
-	}
-	results := make([]fanResult, len(replicas))
-	done := make(chan int, len(replicas))
-	for i, rep := range replicas {
-		i, rep := i, rep
-		go func() {
-			out := rt.attempt(r.Context(), i, http.MethodGet, rep+"/v1/dicts", "", nil)
-			results[i] = fanResult{res: out.res, err: out.err}
-			done <- i
-		}()
-	}
-	for range replicas {
-		<-done
-	}
 	union := make(map[string]bool)
-	for i, fr := range results {
+	for i, fr := range rt.fanOut(r.Context(), replicas, "/v1/dicts") {
 		if fr.err != nil {
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("replica %s: %v", replicas[i], fr.err))
 			return
@@ -819,29 +810,20 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	members := rt.ms.Members()
 	states := make([]repReady, len(members))
-	done := make(chan int, len(members))
-	probes := 0
+	var up []string
+	var upIdx []int
 	for i, m := range members {
 		states[i] = repReady{Replica: m.Replica, State: m.State}
-		if m.State != "up" {
-			continue
+		if m.State == "up" {
+			up = append(up, m.Replica)
+			upIdx = append(upIdx, i)
 		}
-		i, rep := i, m.Replica
-		probes++
-		go func() {
-			out := rt.attempt(r.Context(), i, http.MethodGet, rep+"/readyz", "", nil)
-			states[i].Ready = out.err == nil && out.res.status == http.StatusOK
-			done <- i
-		}()
 	}
-	for n := 0; n < probes; n++ {
-		<-done
-	}
-	ready := probes > 0
-	for _, st := range states {
-		if st.State == "up" {
-			ready = ready && st.Ready
-		}
+	ready := len(up) > 0
+	for k, out := range rt.fanOut(r.Context(), up, "/readyz") {
+		st := &states[upIdx[k]]
+		st.Ready = out.err == nil && out.res.status == http.StatusOK
+		ready = ready && st.Ready
 	}
 	status := http.StatusOK
 	if !ready {
@@ -998,23 +980,11 @@ func (rt *Router) handleReplicas(w http.ResponseWriter, r *http.Request) {
 // Start listens on addr and serves in the background (same transport
 // protections as Server.Start).
 func (rt *Router) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, srv, err := listenAndServe(addr, rt.mux, rt.cfg.RequestTimeout)
 	if err != nil {
 		return err
 	}
-	writeTimeout := 2 * rt.cfg.RequestTimeout
-	if writeTimeout < minWriteTimeout {
-		writeTimeout = minWriteTimeout
-	}
-	rt.ln = ln
-	rt.httpSrv = &http.Server{
-		Handler:           rt.mux,
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		WriteTimeout:      writeTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	go func() { _ = rt.httpSrv.Serve(ln) }()
+	rt.ln, rt.httpSrv = ln, srv
 	return nil
 }
 

@@ -336,6 +336,50 @@ func TestRouterHedgeCancelsLoser(t *testing.T) {
 	waitGoroutines(t, baseline)
 }
 
+// TestRouterFanOutBoundedByRequestTimeout: a live replica that never
+// answers must cost every routed endpoint one RequestTimeout — the
+// fan-out ones (/v1/dicts, /readyz) included — rather than leave the
+// client waiting.
+func TestRouterFanOutBoundedByRequestTimeout(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	defer hung.Close()
+	rt, err := NewRouter(RouterConfig{Replicas: []string{hung.URL}, RequestTimeout: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	defer close(release) // first: unblocks anything still waiting on the replica
+
+	client := &http.Client{Timeout: 3 * time.Second}
+	for _, tc := range []struct {
+		path string
+		want int
+	}{
+		{"/v1/dicts/x", http.StatusBadGateway},
+		{"/v1/dicts", http.StatusBadGateway},
+		{"/readyz", http.StatusServiceUnavailable},
+	} {
+		resp, err := client.Get(front.URL + tc.path)
+		if err != nil {
+			t.Errorf("GET %s: %v", tc.path, err)
+			continue
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // goroutinesPerServer approximates a quiescent test server's standing
 // goroutine count: its pool workers plus the httptest machinery; used
 // only as slack for leak checks while the cluster is still up.

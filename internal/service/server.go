@@ -364,27 +364,36 @@ const (
 // read, response write, keep-alive idle — so a stalled client is a
 // closed connection, not a leaked goroutine (slowloris protection).
 func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, srv, err := listenAndServe(addr, s.mux, s.cfg.RequestTimeout)
 	if err != nil {
 		return err
 	}
-	// The write deadline must outlive the request deadline, or the
-	// server would cut off a response the worker legitimately spent
-	// RequestTimeout computing.
-	writeTimeout := 2 * s.cfg.RequestTimeout
+	s.ln, s.httpSrv = ln, srv
+	return nil
+}
+
+// listenAndServe listens on addr and serves h in the background under
+// the transport timeouts both tiers share. The write deadline must
+// outlive the request deadline, or the server would cut off a response
+// the handler legitimately spent requestTimeout computing.
+func listenAndServe(addr string, h http.Handler, requestTimeout time.Duration) (net.Listener, *http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	writeTimeout := 2 * requestTimeout
 	if writeTimeout < minWriteTimeout {
 		writeTimeout = minWriteTimeout
 	}
-	s.ln = ln
-	s.httpSrv = &http.Server{
-		Handler:           s.mux,
+	srv := &http.Server{
+		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		ReadTimeout:       readTimeout,
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	go func() { _ = s.httpSrv.Serve(ln) }()
-	return nil
+	go func() { _ = srv.Serve(ln) }()
+	return ln, srv, nil
 }
 
 // Addr returns the bound listen address after Start.

@@ -126,17 +126,6 @@ func (m *Model) MeanCellDelay() float64 {
 	return sum / float64(n)
 }
 
-// Correlation returns the pairwise delay correlation implied by the
-// global/local sigma split.
-func (m *Model) Correlation() float64 {
-	g2 := m.P.SigmaGlobal * m.P.SigmaGlobal
-	l2 := m.P.SigmaLocal * m.P.SigmaLocal
-	if g2+l2 == 0 {
-		return 0
-	}
-	return g2 / (g2 + l2)
-}
-
 // Instance is a fixed-delay circuit instance C_in (Definition D.2):
 // one manufactured die drawn from the model.
 type Instance struct {

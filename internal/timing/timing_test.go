@@ -116,6 +116,60 @@ func TestSampleInstanceSeededDeterministic(t *testing.T) {
 	}
 }
 
+// correlation returns the Pearson correlation coefficient between xs
+// and ys. It panics if the lengths differ and returns NaN when either
+// sample is constant.
+func correlation(xs, ys []float64) float64 {
+	if len(xs) != len(ys) {
+		panic("correlation length mismatch")
+	}
+	mx, my := dist.Mean(xs), dist.Mean(ys)
+	var sxy, sxx, syy float64
+	for i := range xs {
+		dx, dy := xs[i]-mx, ys[i]-my
+		sxy += dx * dy
+		sxx += dx * dx
+		syy += dy * dy
+	}
+	if sxx == 0 || syy == 0 {
+		return math.NaN()
+	}
+	return sxy / math.Sqrt(sxx*syy)
+}
+
+// Correlation returns the pairwise delay correlation implied by the
+// global/local sigma split.
+func (m *Model) Correlation() float64 {
+	g2 := m.P.SigmaGlobal * m.P.SigmaGlobal
+	l2 := m.P.SigmaLocal * m.P.SigmaLocal
+	if g2+l2 == 0 {
+		return 0
+	}
+	return g2 / (g2 + l2)
+}
+
+func TestCorrelation(t *testing.T) {
+	almostEq := func(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+	xs := []float64{1, 2, 3, 4, 5}
+	ys := []float64{2, 4, 6, 8, 10}
+	if c := correlation(xs, ys); !almostEq(c, 1, 1e-12) {
+		t.Errorf("perfect corr = %v", c)
+	}
+	neg := []float64{10, 8, 6, 4, 2}
+	if c := correlation(xs, neg); !almostEq(c, -1, 1e-12) {
+		t.Errorf("perfect anticorr = %v", c)
+	}
+	if c := correlation(xs, []float64{3, 3, 3, 3, 3}); !math.IsNaN(c) {
+		t.Errorf("constant corr = %v, want NaN", c)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Errorf("length mismatch should panic")
+		}
+	}()
+	correlation(xs, []float64{1})
+}
+
 func TestGlobalCorrelation(t *testing.T) {
 	c, _ := synth.GenerateNamed("mini", 4)
 	m := NewModel(c, DefaultParams())
@@ -129,7 +183,7 @@ func TestGlobalCorrelation(t *testing.T) {
 		a[s] = in.Delays[0] / m.Nominal[0]
 		b[s] = in.Delays[len(in.Delays)/2] / m.Nominal[len(in.Delays)/2]
 	}
-	rho := dist.Correlation(a, b)
+	rho := correlation(a, b)
 	want := m.Correlation()
 	if math.Abs(rho-want) > 0.06 {
 		t.Errorf("empirical rho = %v, want ~%v", rho, want)

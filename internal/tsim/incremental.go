@@ -50,10 +50,9 @@ type Cone struct {
 	boundary []boundarySeed
 }
 
-// PrepareCone flattens the boundary pin list of a cone gate set, in the
-// exact (gate, pin) order the seed loop scans, so seed event seq
-// assignment — and therefore tie-break order — matches the unprepared
-// path.
+// PrepareCone flattens the boundary pin list of a cone gate set in
+// (gate, pin) order — the order RunIncremental assigns seed event seq
+// values in, and therefore its tie-break order.
 func PrepareCone(c *circuit.Circuit, set circuit.GateSet) *Cone {
 	pc := &Cone{Set: set}
 	for gi := range set {
@@ -78,41 +77,31 @@ func PrepareCone(c *circuit.Circuit, set circuit.GateSet) *Cone {
 // baseline run. It produces the same captures as a full Run with the
 // defect overlay whenever:
 //
-//   - base was produced by Run on the same delays, pattern and horizon
-//     with RecordWaveforms set, and
-//   - cone is (a superset of) the transitive fan-out of defectArc.To
-//     (circuit.ArcFanoutGates).
+//   - base was produced by Run or RunPrepared on the same delays,
+//     pattern and horizon with RecordWaveforms set, and
+//   - cone.Set is (a superset of) the transitive fan-out of
+//     defectArc.To (circuit.ArcFanoutGates).
 //
 // The defect can only change the response of gates in that cone — the
 // delayed arc feeds defectArc.To — so everything outside the cone
 // behaves exactly as in the baseline and is served from it.
 //
-// Repeated calls against the same base reuse engine state with an
-// undo log, so the per-call cost scales with cone activity rather than
-// circuit size. Callers that sweep many instances over the same cone
-// should PrepareCone once and use RunIncrementalCone.
-func (e *Engine) RunIncremental(delays []float64, base *Result, cone circuit.GateSet, defectArc circuit.ArcID, extra, horizon float64) *Result {
-	return e.RunIncrementalCone(delays, base, PrepareCone(e.c, cone), defectArc, extra, horizon)
-}
-
-// RunIncrementalCone is RunIncremental against a preprocessed Cone.
-//
 // Seed events — the baseline waveforms of boundary drivers shifted by
-// the (possibly defective) arc delay — are generated into a flat buffer
-// and sorted once, rather than pushed through the event heap: the heap
-// then holds only re-simulation-derived events, whose in-flight count
-// is one to two orders of magnitude smaller than the seed count, and
-// drainInc consumes the two sources by merge. The consumed (t, seq)
-// order is identical to the all-heap schedule (both pop the unique
-// strict-total-order minimum each step), so results are bit-exact.
-func (e *Engine) RunIncrementalCone(delays []float64, base *Result, cone *Cone, defectArc circuit.ArcID, extra, horizon float64) *Result {
+// the (possibly defective) arc delay — take seq values 0..n-1 in
+// boundary order and go through the same event store as derived
+// events. Repeated calls against the same base reuse engine state with
+// an undo log, so the per-call cost scales with cone activity rather
+// than circuit size. Callers that sweep many instances over the same
+// cone PrepareCone once.
+func (e *Engine) RunIncremental(delays []float64, base *Result, cone *Cone, defectArc circuit.ArcID, extra, horizon float64) *Result {
 	if base.Waveforms == nil {
 		panic("tsim: RunIncremental requires a baseline with recorded waveforms")
 	}
 	opts := Options{Horizon: horizon, DefectArc: defectArc, DefectExtra: extra}
 	e.prepareIncremental(base)
+	e.arm(horizon)
 
-	seeds := e.seedBuf[:0]
+	var seq int32
 	for i := range cone.boundary {
 		bs := &cone.boundary[i]
 		d := arcDelay(delays, &opts, bs.arc)
@@ -121,13 +110,11 @@ func (e *Engine) RunIncrementalCone(delays []float64, base *Result, cone *Cone, 
 			if t > horizon {
 				break
 			}
-			seeds = append(seeds, event{t: t, seq: int32(len(seeds)), g: bs.g, pin: bs.pin, v: st.V})
+			e.schedule(event{t: t, seq: seq, g: bs.g, pin: bs.pin, v: st.V})
+			seq++
 		}
 	}
-	e.seedBuf = seeds
-	sortEvents(seeds)
-	seq := int32(len(seeds))
-	e.drainInc(delays, &opts, &seq, cone.Set)
+	e.drain(delays, &opts, &seq, cone.Set)
 	return e.buildResult(base.Init, base.Final, opts, cone.Set, base)
 }
 
@@ -164,55 +151,11 @@ func (e *Engine) prepareIncremental(base *Result) {
 		e.queue = e.queue[:0]
 		return
 	}
-	if base.prep != nil {
-		e.resetPrepared(base.prep, false)
-	} else {
-		e.reset(init, false)
-	}
+	e.resetPrepared(base.prep, false)
 	e.inc.baseSrc = base.src
 	e.inc.baseGen = base.gen
 	e.inc.dirtyG = e.inc.dirtyG[:0]
 	e.inc.dirtyP = e.inc.dirtyP[:0]
-}
-
-// drainInc is drain with cone-restricted propagation and dirty-state
-// logging for the undo reset. It merges two event sources: the
-// presorted seed buffer and the heap of derived events, taking the
-// (t, seq) minimum of the two heads each step. On a tie the seed wins —
-// seed seq values precede all derived seq values by construction.
-// Seeds and derived events are both horizon-filtered at creation, so no
-// pop-time horizon check is needed.
-//
-//ddd:hot
-func (e *Engine) drainInc(delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
-	seeds := e.seedBuf
-	si := 0
-	for {
-		var ev event
-		switch {
-		case si < len(seeds) && (len(e.queue) == 0 || !lessEv(&e.queue[0], &seeds[si])):
-			ev = seeds[si]
-			si++
-		case len(e.queue) > 0:
-			ev = e.queue.pop()
-		default:
-			return
-		}
-		pi := e.pinOff[ev.g] + ev.pin
-		if e.pinVals[pi] == ev.v {
-			continue
-		}
-		e.pinVals[pi] = ev.v
-		e.inc.dirtyP = append(e.inc.dirtyP, pinRef{g: ev.g, pin: ev.pin})
-		newOut := e.applyPin(ev.g, ev.v)
-		if newOut == e.cur[ev.g] {
-			continue
-		}
-		if !e.trans[ev.g] {
-			e.inc.dirtyG = append(e.inc.dirtyG, ev.g)
-		}
-		e.commit(ev.t, ev.g, newOut, delays, opts, seq, cone)
-	}
 }
 
 // CheckPair validates that a pattern pair matches the circuit's input

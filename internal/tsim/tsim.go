@@ -21,7 +21,10 @@
 // single-defect model D_s) without copying the instance, and an
 // incremental mode that re-simulates only the defect arc's fan-out
 // cone against recorded baseline waveforms — the optimization that
-// makes per-suspect fault dictionary construction tractable.
+// makes per-suspect fault dictionary construction tractable. Run
+// simulates a pattern in full (RunPrepared is Run with the settled
+// states precomputed), RunIncremental re-simulates a defect cone; both
+// schedule into one event store and consume it with one drain loop.
 package tsim
 
 import (
@@ -56,7 +59,7 @@ type Step struct {
 
 // Result reports one timed simulation. Results are owned by the
 // Engine that produced them and alias its scratch buffers: a Result is
-// valid until the producing engine's next run (Run, RunSettled or
+// valid until the producing engine's next run (Run, RunPrepared or
 // RunIncremental), after which its contents are overwritten. Callers
 // that need to retain data across runs must copy it out.
 type Result struct {
@@ -75,9 +78,8 @@ type Result struct {
 	// requested (nil otherwise). The initial value is Init[g].
 	Waveforms [][]Step
 
-	// prep, when the run was started from a PreparedInit, lets
-	// incremental re-simulation against this Result reset by memmove
-	// instead of a per-gate loop.
+	// prep is the PreparedInit the run reset from; incremental
+	// re-simulation against this Result resets from it by memmove.
 	prep *PreparedInit
 
 	// src and gen identify the engine run that produced this Result.
@@ -292,9 +294,6 @@ type Engine struct {
 	queue eventHeap
 	waves [][]Step
 	inc   incState
-	// seedBuf holds the presorted boundary seed events of the current
-	// incremental run (see RunIncrementalCone); reused across runs.
-	seedBuf []event
 
 	// Delayed pin values, flattened: gate g's pins live at
 	// pinVals[pinOff[g]:pinOff[g+1]]. gmode and cnt drive the counting
@@ -305,10 +304,10 @@ type Engine struct {
 	gmode   []uint8
 	cnt     []int16
 
-	// Calendar-queue state for full runs under a finite horizon (see
-	// drainBucketed): events are appended to the time bucket they fall
-	// in, each bucket is sorted once when simulation time reaches it,
-	// and e.queue serves only as the small overflow heap for events
+	// Calendar-queue state for runs under a finite horizon (see arm,
+	// schedule and drain): events are appended to the time bucket they
+	// fall in, each bucket is sorted once when simulation time reaches
+	// it, and e.queue serves only as the small overflow heap for events
 	// scheduled into the bucket currently being drained.
 	useBins bool
 	invBinW float64
@@ -323,9 +322,10 @@ type Engine struct {
 	// gen counts completed runs; together with the engine pointer it
 	// identifies the run that produced a Result (see Result ownership).
 	gen uint64
-	// res and the settled-value buffers are reused across runs, making
-	// steady-state simulation allocation-free.
+	// res, prep and the settled-value buffers are reused across runs,
+	// making steady-state simulation allocation-free.
 	res           Result
+	prep          PreparedInit
 	initBuf       []bool
 	finalBuf      []bool
 	captureBuf    []bool
@@ -386,40 +386,13 @@ func arcDelay(delays []float64, opts *Options, a circuit.ArcID) float64 {
 	return d
 }
 
-// reset prepares scratch state: committed values, pin values and
-// evaluator counters at the V1 settled state.
-func (e *Engine) reset(init []bool, record bool) {
-	copy(e.cur, init)
-	for gi := range e.c.Gates {
-		g := &e.c.Gates[gi]
-		off := e.pinOff[gi]
-		cv := e.gmode[gi]&gmCV != 0
-		n := int16(0)
-		for k, fi := range g.Fanin {
-			v := init[fi]
-			e.pinVals[off+int32(k)] = v
-			if v == cv {
-				n++
-			}
-		}
-		e.cnt[gi] = n
-		e.last[gi] = 0
-		e.trans[gi] = false
-		if record {
-			e.waves[gi] = e.waves[gi][:0]
-		}
-	}
-	e.queue = e.queue[:0]
-	e.inc.baseSrc = nil // full reset invalidates any loaded baseline
-}
-
 // PreparedInit is the flattened engine reset state for one settled init
-// vector: the same pin values and evaluator counters reset computes,
-// precomputed once. Loops that sweep many delay instances over a fixed
-// pattern reset in a few memmoves instead of a per-gate scan. A
-// PreparedInit is immutable and safe to share across engines and
-// goroutines; init must not be mutated while any PreparedInit built
-// from it is in use.
+// vector: the pin values and evaluator counters of the V1 settled
+// state. Loops that sweep many delay instances over a fixed pattern
+// prepare it once and reset in a few memmoves instead of a per-gate
+// scan. A PreparedInit built by PrepareInit is immutable and safe to
+// share across engines and goroutines; init must not be mutated while
+// any PreparedInit built from it is in use.
 type PreparedInit struct {
 	init    []bool
 	pinVals []bool
@@ -429,15 +402,16 @@ type PreparedInit struct {
 // PrepareInit builds the PreparedInit of one settled gate-value vector
 // (init must equal logicsim.Eval of the vector driving it).
 func PrepareInit(c *circuit.Circuit, init []bool) *PreparedInit {
-	nFan := 0
-	for i := range c.Gates {
-		nFan += len(c.Gates[i].Fanin)
-	}
-	p := &PreparedInit{
-		init:    init,
-		pinVals: make([]bool, 0, nFan),
-		cnt:     make([]int16, len(c.Gates)),
-	}
+	p := new(PreparedInit)
+	p.fill(c, init)
+	return p
+}
+
+// fill computes p for init, reusing p's buffers.
+func (p *PreparedInit) fill(c *circuit.Circuit, init []bool) {
+	p.init = init
+	p.pinVals = p.pinVals[:0]
+	p.cnt = p.cnt[:0]
 	for gi := range c.Gates {
 		cv := gateMode(c.Gates[gi].Type)&gmCV != 0
 		n := int16(0)
@@ -448,13 +422,13 @@ func PrepareInit(c *circuit.Circuit, init []bool) *PreparedInit {
 				n++
 			}
 		}
-		p.cnt[gi] = n
+		p.cnt = append(p.cnt, n)
 	}
-	return p
 }
 
-// resetPrepared is reset from a PreparedInit: the pin/counter scan
-// becomes three copies (the zeroing loops below compile to memclr).
+// resetPrepared restores committed values, pin values and evaluator
+// counters to the V1 settled state in p: three copies (the zeroing
+// loops below compile to memclr).
 func (e *Engine) resetPrepared(p *PreparedInit, record bool) {
 	copy(e.cur, p.init)
 	copy(e.pinVals, p.pinVals)
@@ -471,16 +445,57 @@ func (e *Engine) resetPrepared(p *PreparedInit, record bool) {
 		}
 	}
 	e.queue = e.queue[:0]
-	e.inc.baseSrc = nil
+	e.inc.baseSrc = nil // a full reset invalidates any loaded baseline
+}
+
+// nBins is the calendar-queue bucket count: enough that a bucket holds
+// a few hundred events on circuits where full runs queue thousands,
+// small enough that empty-bucket sweeps are free.
+const nBins = 64
+
+// arm prepares the event store for a run capturing at horizon: the
+// calendar queue under a finite horizon, the heap alone otherwise.
+// curBin starts before bucket 0, so every scheduled event — launch
+// transitions and incremental seeds included — lands in a bucket and
+// is sorted on entry.
+func (e *Engine) arm(horizon float64) {
+	if e.useBins = horizon > 0 && !math.IsInf(horizon, 1); e.useBins {
+		if e.bins == nil {
+			e.bins = make([][]event, nBins)
+		}
+		e.invBinW = float64(nBins) / horizon
+		e.curBin = -1
+	}
+}
+
+// schedule queues one pin arrival. Under a finite horizon it is an
+// O(1) append to the event's time bucket; an arrival into the bucket
+// being drained (time is monotone, so never an earlier one) goes to the
+// overflow heap, as does every event under an infinite horizon.
+//
+//ddd:hot
+func (e *Engine) schedule(ev event) {
+	if e.useBins {
+		b := int32(ev.t * e.invBinW)
+		if b >= nBins {
+			b = nBins - 1
+		}
+		if b > e.curBin {
+			e.bins[b] = append(e.bins[b], ev)
+			return
+		}
+	}
+	e.queue.push(ev)
 }
 
 // commit records an output change of gate g at time t and fans the new
 // value out as future pin arrivals, via the precomputed fanout pin
 // list. Arrivals past the horizon are dropped at schedule time: the
-// min-heap pop already discarded them unprocessed (delays are strictly
-// positive, so a late event cannot spawn an on-time one), and skipping
-// the push only renumbers seq while preserving the relative order of
-// surviving events — tie-breaks, and therefore results, are unchanged.
+// drain would discard them unprocessed (delays are strictly positive,
+// so a late event cannot spawn an on-time one), and skipping them only
+// renumbers seq while preserving the relative order of surviving
+// events — tie-breaks, and therefore results, are unchanged. With a
+// non-nil cone, propagation is restricted to cone members.
 //
 //ddd:hot
 func (e *Engine) commit(t float64, g circuit.GateID, v bool, delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
@@ -498,22 +513,8 @@ func (e *Engine) commit(t float64, g circuit.GateID, v bool, delays []float64, o
 		if te > opts.Horizon {
 			continue
 		}
-		ev := event{t: te, seq: *seq, g: fr.g, pin: fr.pin, v: v}
+		e.schedule(event{t: te, seq: *seq, g: fr.g, pin: fr.pin, v: v})
 		*seq++
-		if e.useBins {
-			// Time is monotone, so te never lands before curBin; an
-			// arrival into the bucket being drained goes to the
-			// overflow heap, everything later is an O(1) append.
-			b := int32(te * e.invBinW)
-			if b >= int32(len(e.bins)) {
-				b = int32(len(e.bins)) - 1
-			}
-			if b > e.curBin {
-				e.bins[b] = append(e.bins[b], ev)
-				continue
-			}
-		}
-		e.queue.push(ev)
 	}
 }
 
@@ -537,24 +538,57 @@ func (e *Engine) applyPin(g circuit.GateID, v bool) bool {
 	return (n == 0) != (md&gmInv != 0)
 }
 
-// drain processes the event queue until empty (commit never schedules
-// past the horizon, so every queued event is on time). With a non-nil
-// cone, propagation is restricted to cone members (incremental mode).
+// drain processes every scheduled event in (t, seq) order. It walks
+// the calendar buckets in time order, sorting each once on entry and
+// merging it with the overflow heap (the heap is empty between
+// buckets); with an infinite horizon it is one pass over the heap
+// alone. commit never schedules past the horizon, so every event is on
+// time. A non-nil cone marks an incremental run: propagation stays in
+// the cone and every touched pin and gate goes to the undo log.
 //
 //ddd:hot
 func (e *Engine) drain(delays []float64, opts *Options, seq *int32, cone circuit.GateSet) {
-	for len(e.queue) > 0 {
-		ev := e.queue.pop()
-		pi := e.pinOff[ev.g] + ev.pin
-		if e.pinVals[pi] == ev.v {
-			continue
+	nb := 1
+	if e.useBins {
+		nb = nBins
+	}
+	for b := 0; b < nb; b++ {
+		var bin []event
+		if e.useBins {
+			e.curBin = int32(b)
+			bin = e.bins[b]
+			sortEvents(bin)
 		}
-		e.pinVals[pi] = ev.v
-		newOut := e.applyPin(ev.g, ev.v)
-		if newOut == e.cur[ev.g] {
-			continue
+		for si := 0; ; {
+			var ev event
+			if si < len(bin) && (len(e.queue) == 0 || !lessEv(&e.queue[0], &bin[si])) {
+				ev = bin[si]
+				si++
+			} else if len(e.queue) > 0 {
+				ev = e.queue.pop()
+			} else {
+				break
+			}
+			pi := e.pinOff[ev.g] + ev.pin
+			if e.pinVals[pi] == ev.v {
+				continue
+			}
+			e.pinVals[pi] = ev.v
+			if cone != nil {
+				e.inc.dirtyP = append(e.inc.dirtyP, pinRef{g: ev.g, pin: ev.pin})
+			}
+			newOut := e.applyPin(ev.g, ev.v)
+			if newOut == e.cur[ev.g] {
+				continue
+			}
+			if cone != nil && !e.trans[ev.g] {
+				e.inc.dirtyG = append(e.inc.dirtyG, ev.g)
+			}
+			e.commit(ev.t, ev.g, newOut, delays, opts, seq, cone)
 		}
-		e.commit(ev.t, ev.g, newOut, delays, opts, seq, cone)
+		if e.useBins {
+			e.bins[b] = bin[:0]
+		}
 	}
 }
 
@@ -564,53 +598,20 @@ func (e *Engine) drain(delays []float64, opts *Options, seq *int32, cone circuit
 func (e *Engine) Run(delays []float64, p logicsim.PatternPair, opts Options) *Result {
 	e.initBuf = logicsim.EvalInto(e.initBuf, e.c, p.V1)
 	e.finalBuf = logicsim.EvalInto(e.finalBuf, e.c, p.V2)
-	return e.RunSettled(delays, p, opts, e.initBuf, e.finalBuf)
+	e.prep.fill(e.c, e.initBuf)
+	return e.RunPrepared(delays, p, opts, &e.prep, e.finalBuf)
 }
 
-// RunSettled is Run with the settled gate values under V1 and V2
-// supplied by the caller (init and final must equal logicsim.Eval of
-// p.V1 and p.V2). The settled states depend only on the pattern, not
-// on the instance delays, so loops that sweep many instances over the
-// same pattern hoist the two logic evaluations out of the per-instance
-// path. Result ownership matches Run.
-func (e *Engine) RunSettled(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool) *Result {
-	e.reset(init, opts.RecordWaveforms)
-	return e.launch(delays, p, opts, init, final, nil)
-}
-
-// RunPrepared is RunSettled resetting from a PreparedInit of the V1
-// settled state — the fastest path for sweeping many instances over a
-// fixed pattern. Result ownership matches Run; the Result remembers the
-// PreparedInit so RunIncremental against it also resets by memmove.
+// RunPrepared is Run with the settled states supplied by the caller:
+// prep is the PreparedInit of the V1 settled state and final the V2
+// settled state (logicsim.Eval of p.V2). Both depend only on the
+// pattern, not on the instance delays, so loops that sweep many
+// instances over a fixed pattern hoist the logic evaluations and the
+// reset scan out of the per-instance path. Result ownership matches
+// Run.
 func (e *Engine) RunPrepared(delays []float64, p logicsim.PatternPair, opts Options, prep *PreparedInit, final []bool) *Result {
 	e.resetPrepared(prep, opts.RecordWaveforms)
-	return e.launch(delays, p, opts, prep.init, final, prep)
-}
-
-// nBins is the calendar-queue bucket count: enough that a bucket holds
-// a few hundred events on circuits where full runs queue thousands,
-// small enough that empty-bucket sweeps are free.
-const nBins = 64
-
-// launch fires the t = 0 input transitions, drains, and assembles the
-// Result — the shared tail of RunSettled and RunPrepared.
-//
-// With a finite horizon the full-run drain uses a calendar queue: the
-// event population of a full run is large (hundreds in flight), which
-// makes heap sifts the dominant cost, while bucketing by time turns
-// almost every push into an append and almost every pop into an array
-// read. Buckets are drained in order and each is sorted by (t, seq) on
-// entry, with same-bucket arrivals merged via the overflow heap — the
-// consumed order is the same strict total order the heap would
-// produce, so results are bit-exact either way.
-func (e *Engine) launch(delays []float64, p logicsim.PatternPair, opts Options, init, final []bool, prep *PreparedInit) *Result {
-	if e.useBins = opts.Horizon > 0 && !math.IsInf(opts.Horizon, 1); e.useBins {
-		if e.bins == nil {
-			e.bins = make([][]event, nBins)
-		}
-		e.invBinW = float64(nBins) / opts.Horizon
-		e.curBin = 0
-	}
+	e.arm(opts.Horizon)
 	var seq int32
 	// Launch: inputs that differ between the vectors switch at t = 0.
 	for i, g := range e.c.Inputs {
@@ -618,55 +619,10 @@ func (e *Engine) launch(delays []float64, p logicsim.PatternPair, opts Options, 
 			e.commit(0, g, p.V2[i], delays, &opts, &seq, nil)
 		}
 	}
-	if e.useBins {
-		e.drainBucketed(delays, &opts, &seq)
-		e.useBins = false
-	} else {
-		e.drain(delays, &opts, &seq, nil)
-	}
-	res := e.buildResult(init, final, opts, nil, nil)
+	e.drain(delays, &opts, &seq, nil)
+	res := e.buildResult(prep.init, final, opts, nil, nil)
 	res.prep = prep
 	return res
-}
-
-// drainBucketed is drain over the calendar queue: buckets in time
-// order, each sorted once, merged with the overflow heap exactly like
-// drainInc merges presorted seeds.
-//
-//ddd:hot
-func (e *Engine) drainBucketed(delays []float64, opts *Options, seq *int32) {
-	for b := range e.bins {
-		e.curBin = int32(b)
-		bin := e.bins[b]
-		sortEvents(bin)
-		si := 0
-		for {
-			var ev event
-			switch {
-			case si < len(bin) && (len(e.queue) == 0 || !lessEv(&e.queue[0], &bin[si])):
-				ev = bin[si]
-				si++
-			case len(e.queue) > 0:
-				ev = e.queue.pop()
-			default:
-				si = -1
-			}
-			if si < 0 {
-				break
-			}
-			pi := e.pinOff[ev.g] + ev.pin
-			if e.pinVals[pi] == ev.v {
-				continue
-			}
-			e.pinVals[pi] = ev.v
-			newOut := e.applyPin(ev.g, ev.v)
-			if newOut == e.cur[ev.g] {
-				continue
-			}
-			e.commit(ev.t, ev.g, newOut, delays, opts, seq, nil)
-		}
-		e.bins[b] = bin[:0]
-	}
 }
 
 // buildResult assembles the engine-owned Result; in incremental mode

@@ -106,6 +106,30 @@ func TestDefectOverlayDelaysOutput(t *testing.T) {
 	if in.Delays[n1.InArcs[0]] != m.Nominal[n1.InArcs[0]] {
 		t.Errorf("overlay mutated the instance")
 	}
+
+	// Incremental re-simulation of the same defect must match Simulate
+	// at a horizon exactly equal to the defective arrival (the event
+	// lands in the last, clamped calendar bucket) and just below it.
+	qd := Quiescent()
+	qd.DefectArc, qd.DefectExtra = opts.DefectArc, opts.DefectExtra
+	defArr := Simulate(c, in.Delays, pair, qd).LastChange[0]
+	cone := PrepareCone(c, c.ArcFanoutGates(opts.DefectArc))
+	for _, h := range []float64{defArr, math.Nextafter(defArr, 0)} {
+		baseOpts := AtClock(h)
+		baseOpts.RecordWaveforms = true
+		base := Simulate(c, in.Delays, pair, baseOpts)
+		inc := NewEngine(c).RunIncremental(in.Delays, base, cone, opts.DefectArc, opts.DefectExtra, h)
+		fullOpts := AtClock(h)
+		fullOpts.DefectArc, fullOpts.DefectExtra = opts.DefectArc, opts.DefectExtra
+		full := Simulate(c, in.Delays, pair, fullOpts)
+		if inc.Capture[0] != full.Capture[0] || inc.LastChange[0] != full.LastChange[0] {
+			t.Errorf("horizon %v: incremental (%v, %v), Simulate (%v, %v)",
+				h, inc.Capture[0], inc.LastChange[0], full.Capture[0], full.LastChange[0])
+		}
+		if want := h == defArr; full.Capture[0] != want {
+			t.Errorf("horizon %v: Simulate capture %v, want %v", h, full.Capture[0], want)
+		}
+	}
 }
 
 func TestHazardGlitchCapture(t *testing.T) {
@@ -197,7 +221,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		extra := 0.3 + 2*r.Float64()
 		cone := c.ArcFanoutGates(arc)
 
-		inc := engInc.RunIncremental(inst.Delays, base, cone, arc, extra, clk)
+		inc := engInc.RunIncremental(inst.Delays, base, PrepareCone(c, cone), arc, extra, clk)
 
 		fullOpts := AtClock(clk)
 		fullOpts.DefectArc = arc
@@ -207,6 +231,9 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		for i := range full.Capture {
 			if inc.Capture[i] != full.Capture[i] {
 				t.Fatalf("trial %d arc %d: capture mismatch at output %d", trial, arc, i)
+			}
+			if inc.LastChange[i] != full.LastChange[i] {
+				t.Fatalf("trial %d arc %d: LastChange %v, full run %v at output %d", trial, arc, inc.LastChange[i], full.LastChange[i], i)
 			}
 		}
 	}
@@ -244,7 +271,7 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 		arc := circuit.ArcID(r.IntN(len(c.Arcs)))
 		extra := 0.2 + 3*r.Float64()
 		cone := c.ArcFanoutGates(arc)
-		inc := eng.RunIncremental(inst.Delays, base, cone, arc, extra, clk)
+		inc := eng.RunIncremental(inst.Delays, base, PrepareCone(c, cone), arc, extra, clk)
 
 		fullOpts := AtClock(clk)
 		fullOpts.DefectArc = arc
@@ -253,6 +280,9 @@ func TestIncrementalEngineReuseUndoPath(t *testing.T) {
 		for i := range full.Capture {
 			if inc.Capture[i] != full.Capture[i] {
 				t.Fatalf("trial %d arc %d: reused-engine capture mismatch at output %d", trial, arc, i)
+			}
+			if inc.LastChange[i] != full.LastChange[i] {
+				t.Fatalf("trial %d arc %d: reused-engine LastChange %v, full run %v at output %d", trial, arc, inc.LastChange[i], full.LastChange[i], i)
 			}
 		}
 	}
@@ -285,7 +315,7 @@ func TestIncrementalAfterRunInvalidatesBaseline(t *testing.T) {
 	base := NewEngine(c).Run(inst.Delays, pair, baseOpts)
 
 	arc := circuit.ArcID(r.IntN(len(c.Arcs)))
-	cone := c.ArcFanoutGates(arc)
+	cone := PrepareCone(c, c.ArcFanoutGates(arc))
 	_ = eng.RunIncremental(inst.Delays, base, cone, arc, 1.5, clk)
 	// Interleave a full Run that trashes scratch state.
 	other := logicsim.PatternPair{V1: v2, V2: v1}
@@ -313,7 +343,7 @@ func TestIncrementalRequiresWaveforms(t *testing.T) {
 			t.Errorf("missing waveforms not detected")
 		}
 	}()
-	NewEngine(c).RunIncremental(in.Delays, base, c.ArcFanoutGates(0), 0, 1, math.Inf(1))
+	NewEngine(c).RunIncremental(in.Delays, base, PrepareCone(c, c.ArcFanoutGates(0)), 0, 1, math.Inf(1))
 }
 
 func TestEngineReuseIsClean(t *testing.T) {
